@@ -16,6 +16,7 @@ from .coloring import (
     exact_solve,
     round_robin_color,
     verify_equitable_tree_coloring,
+    verify_interval_coloring,
 )
 from .gadgets import (
     BinPackingInstance,
@@ -42,6 +43,8 @@ from .graph import (
     derive_graph,
     find_proper_containment,
     first_monochromatic_cycle_edge,
+    first_monochromatic_triangle_edge,
+    interval_edge_stats,
     interval_order,
     is_proper_representation,
     is_star_free,
@@ -75,7 +78,9 @@ __all__ = [
     "exact_solve",
     "find_proper_containment",
     "first_monochromatic_cycle_edge",
+    "first_monochromatic_triangle_edge",
     "gen_random_interval",
+    "interval_edge_stats",
     "interval_order",
     "is_proper_representation",
     "is_star_free",
@@ -85,6 +90,7 @@ __all__ = [
     "solve_bin_packing",
     "validate_layout",
     "verify_equitable_tree_coloring",
+    "verify_interval_coloring",
     "verify_maximal_clique_order",
     "verify_order",
 ]

@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 for success or a YES answer, 2 for a
-completed run with a negative answer, 3 for a solver timeout, and 1 for
-input or usage errors. Reports go to stdout as key=value lines; --format
-json switches to a single JSON document.
+completed run with a negative answer, 3 for a solver timeout, 1 for input
+or usage errors, and 4 when two routes that must agree disagree (a bug in
+the program, not in the input). Reports go to stdout as key=value lines;
+--format json switches to a single JSON document.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -21,6 +23,7 @@ from .coloring import (
     exact_solve,
     round_robin_color,
     verify_equitable_tree_coloring,
+    verify_interval_coloring,
 )
 from .gadgets import (
     build_interval_gadget,
@@ -29,9 +32,10 @@ from .gadgets import (
     validate_layout,
 )
 from .graph import (
+    IntervalRep,
     ProperContainmentError,
     RepresentationError,
-    derive_graph,
+    interval_edge_stats,
     is_proper_representation,
     max_clique_sweep,
 )
@@ -40,6 +44,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NEGATIVE = 2
 EXIT_TIMEOUT = 3
+EXIT_INCONSISTENT = 4
 
 GADGET_KINDS = ("split-gadget", "interval-gadget")
 RANDOM_KINDS = ("random", "random-proper")
@@ -80,16 +85,15 @@ def _threshold(max_degree: int) -> int:
 
 def cmd_color(args) -> int:
     rep = formats.parse_intervals(args.intervals)
-    g = derive_graph(rep)
     coloring = round_robin_color(rep, args.k)
-    verdict = verify_equitable_tree_coloring(g, coloring)
+    verdict = verify_interval_coloring(rep, coloring)
     formats.write_coloring(args.out, coloring)
-    delta = g.max_degree()
+    m, delta = interval_edge_stats(rep)
     report = RunReport(
         "color",
         statistics={
-            "n": g.n,
-            "m": g.m,
+            "n": rep.n,
+            "m": m,
             "max_degree": delta,
             "threshold": _threshold(delta),
             "k": args.k,
@@ -109,13 +113,12 @@ def cmd_color(args) -> int:
 def cmd_decide(args) -> int:
     rep = formats.parse_intervals(args.intervals)
     answer, certificate = decide_proper_interval(rep, args.k)
-    g = derive_graph(rep)
     report = RunReport(
         "decide",
         answer="YES" if answer else "NO",
         statistics={
-            "n": g.n,
-            "m": g.m,
+            "n": rep.n,
+            "m": interval_edge_stats(rep)[0],
             "omega": max_clique_sweep(rep),
             "k": args.k,
         },
@@ -129,21 +132,26 @@ def cmd_decide(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g, _rep = formats.load_graph(args.graph)
+    source = formats.parse_graph_or_intervals(args.graph)
     coloring = formats.parse_coloring(args.coloring)
     if args.k is not None and args.k != coloring.k:
         raise ValueError(f"--k {args.k} does not match the coloring file's k={coloring.k}")
-    if len(coloring) != g.n:
+    if len(coloring) != source.n:
         raise ValueError(
-            f"coloring file covers {len(coloring)} vertices, graph has {g.n}"
+            f"coloring file covers {len(coloring)} vertices, graph has {source.n}"
         )
-    verdict = verify_equitable_tree_coloring(g, coloring)
+    if isinstance(source, IntervalRep):
+        m = interval_edge_stats(source)[0]
+        verdict = verify_interval_coloring(source, coloring)
+    else:
+        m = source.m
+        verdict = verify_equitable_tree_coloring(source, coloring)
     report = RunReport(
         "verify",
         answer="YES" if verdict.ok else "NO",
         statistics={
-            "n": g.n,
-            "m": g.m,
+            "n": source.n,
+            "m": m,
             "k": coloring.k,
             "class_sizes": coloring.class_sizes(),
             "valid": verdict.ok,
@@ -182,8 +190,13 @@ def cmd_solve(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.kind in GADGET_KINDS:
+        # Every flag is checked before anything is built or written.
         if args.input is None:
             raise ValueError(f"gen {args.kind} needs a bin-packing instance file")
+        if args.kind == "interval-gadget" and args.intervals_out is None:
+            raise ValueError("gen interval-gadget needs --intervals-out")
+        if args.labels_out is None:
+            raise ValueError(f"gen {args.kind} needs --labels-out")
         inst = formats.parse_binpacking(args.input)
         build = build_split_gadget if args.kind == "split-gadget" else build_interval_gadget
         try:
@@ -206,12 +219,8 @@ def cmd_gen(args) -> int:
         formats.write_graph(args.out, layout.graph)
         report.artifacts.append(str(args.out))
         if args.kind == "interval-gadget":
-            if args.intervals_out is None:
-                raise ValueError("gen interval-gadget needs --intervals-out")
             formats.write_intervals(args.intervals_out, layout.rep)
             report.artifacts.append(str(args.intervals_out))
-        if args.labels_out is None:
-            raise ValueError(f"gen {args.kind} needs --labels-out")
         formats.write_labels(args.labels_out, layout)
         report.artifacts.append(str(args.labels_out))
         report.emit(args.format)
@@ -243,15 +252,14 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     rep = formats.parse_intervals(args.intervals)
-    g = derive_graph(rep)
     omega = max_clique_sweep(rep)
     proper = is_proper_representation(rep)
-    delta = g.max_degree()
+    m, delta = interval_edge_stats(rep)
     report = RunReport(
         "analyze",
         statistics={
-            "n": g.n,
-            "m": g.m,
+            "n": rep.n,
+            "m": m,
             "max_degree": delta,
             "omega": omega,
             "proper": proper,
@@ -278,6 +286,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _timeout_seconds(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError("must be a finite number >= 0")
     return value
 
 
@@ -312,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exhaustive search on a small instance")
     p.add_argument("graph", help="graph or intervals file")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--timeout", type=float, help="seconds before giving up (exit 3)")
+    p.add_argument("--timeout", type=_timeout_seconds, help="seconds before giving up (exit 3)")
     p.add_argument("--out", help="write the coloring on YES")
     add_common(p)
     p.set_defaults(func=cmd_solve)
@@ -355,6 +370,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ConsistencyError as exc:
+        print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ from .graph import (
     Graph,
     IntervalRep,
     ProperContainmentError,
-    derive_graph,
     find_proper_containment,
     first_monochromatic_cycle_edge,
+    first_monochromatic_triangle_edge,
     interval_order,
     max_clique_sweep,
 )
@@ -77,28 +77,44 @@ UNCOLORED = "uncolored"
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of the verifier, with a concrete witness on failure: the two
-    class indices whose sizes differ by more than one, or the edge that
-    closes a monochromatic cycle."""
+    class indices whose sizes differ by more than one, or an edge of a
+    monochromatic cycle."""
 
     ok: bool
     failure_kind: str = "none"
     witness: tuple[int, int] | None = None
 
 
-def verify_equitable_tree_coloring(g: Graph, c: Coloring) -> Verdict:
-    """Check both clauses: class sizes pairwise differ by at most one, and
-    every class induces a forest. Imbalance is reported first."""
-    if len(c) != g.n:
+def _verdict(n: int, c: Coloring, cycle_edge) -> Verdict:
+    """The clauses in their fixed order: every vertex colored, class sizes
+    pairwise within one, then cycle_edge(colors) finds no cycle edge."""
+    if len(c) != n:
         return Verdict(False, UNCOLORED)
     sizes = c.class_sizes()
     big = max(range(c.k), key=lambda i: sizes[i])
     small = min(range(c.k), key=lambda i: sizes[i])
     if sizes[big] - sizes[small] > 1:
         return Verdict(False, IMBALANCE, (big, small))
-    edge = first_monochromatic_cycle_edge(g, c.colors)
+    edge = cycle_edge(c.colors)
     if edge is not None:
         return Verdict(False, MONOCHROMATIC_CYCLE, edge)
     return Verdict(True)
+
+
+def verify_equitable_tree_coloring(g: Graph, c: Coloring) -> Verdict:
+    """Check both clauses: class sizes pairwise differ by at most one, and
+    every class induces a forest. Imbalance is reported first; a cycle is
+    witnessed by the first edge, in (u, v) order, that closes one."""
+    return _verdict(g.n, c, lambda colors: first_monochromatic_cycle_edge(g, colors))
+
+
+def verify_interval_coloring(rep: IntervalRep, c: Coloring) -> Verdict:
+    """The same verdict as `verify_equitable_tree_coloring` on the derived
+    graph, by an endpoint sweep that never builds it. A cycle is witnessed
+    by an edge of a monochromatic triangle."""
+    return _verdict(
+        rep.n, c, lambda colors: first_monochromatic_triangle_edge(rep, colors)
+    )
 
 
 def round_robin_color(rep: IntervalRep, k: int) -> Coloring:
@@ -122,10 +138,10 @@ def decide_proper_interval(
     """Decide whether a proper representation admits an equitable
     tree-k-coloring; on YES the round-robin coloring is the certificate.
 
-    Colors round-robin and scans every class for a monochromatic cycle.
-    For proper representations this agrees with the clique-size test
-    (feasible iff the clique number is at most 2k); both routes are computed
-    and a disagreement raises ConsistencyError.
+    Two independent routes, neither of which builds the graph: the clique
+    test (feasible iff the clique number is at most 2k), and round-robin
+    coloring followed by a sweep for a monochromatic triangle. For proper
+    representations they agree; a disagreement raises ConsistencyError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -133,8 +149,7 @@ def decide_proper_interval(
     if pair is not None:
         raise ProperContainmentError(*pair)
     coloring = round_robin_color(rep, k)
-    g = derive_graph(rep)
-    cycle_free = first_monochromatic_cycle_edge(g, coloring.colors) is None
+    cycle_free = first_monochromatic_triangle_edge(rep, coloring.colors) is None
     clique_small = max_clique_sweep(rep) <= 2 * k
     if cycle_free != clique_small:
         raise ConsistencyError(

@@ -66,7 +66,10 @@ def _exact_rows(header_no: int, body, count: int, what: str):
 
 
 def parse_intervals(path) -> IntervalRep:
-    lines = _read_lines(path)
+    return _intervals_from_lines(_read_lines(path))
+
+
+def _intervals_from_lines(lines) -> IntervalRep:
     header_no, fields, body = _header(lines, "intervals", 1)
     n = _int(header_no, fields[0])
     if n < 0:
@@ -98,7 +101,10 @@ def write_intervals(path, rep: IntervalRep) -> None:
 
 
 def parse_graph(path) -> Graph:
-    lines = _read_lines(path)
+    return _graph_from_lines(_read_lines(path))
+
+
+def _graph_from_lines(lines) -> Graph:
     header_no, fields, body = _header(lines, "graph", 2)
     n = _int(header_no, fields[0])
     m = _int(header_no, fields[1])
@@ -223,17 +229,25 @@ def detect_kind(path) -> str:
     return lines[0][1][0]
 
 
-def load_graph(path) -> tuple[Graph, IntervalRep | None]:
-    """Load a graph file directly, or derive the graph from an intervals
-    file; returns the representation as well when there is one."""
+def parse_graph_or_intervals(path) -> Graph | IntervalRep:
+    """A graph file as a Graph or an intervals file as an IntervalRep,
+    reading the file once."""
     lines = _read_lines(path)
     if not lines:
         raise ParseError(1, "empty file")
     line_no, tokens = lines[0]
     kind = tokens[0]
     if kind == "graph":
-        return parse_graph(path), None
+        return _graph_from_lines(lines)
     if kind == "intervals":
-        rep = parse_intervals(path)
-        return derive_graph(rep), rep
+        return _intervals_from_lines(lines)
     raise ParseError(line_no, f"expected a graph or intervals file, found {kind!r}")
+
+
+def load_graph(path) -> tuple[Graph, IntervalRep | None]:
+    """Load a graph file directly, or derive the graph from an intervals
+    file; returns the representation as well when there is one."""
+    source = parse_graph_or_intervals(path)
+    if isinstance(source, Graph):
+        return source, None
+    return derive_graph(source), source

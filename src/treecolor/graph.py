@@ -6,7 +6,7 @@ integer endpoints, so two intervals that merely touch in a point intersect.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -148,6 +148,19 @@ def derive_graph(rep: IntervalRep) -> Graph:
     return Graph(tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
 
 
+def interval_edge_stats(rep: IntervalRep) -> tuple[int, int]:
+    """(edge count, max degree) of the intersection graph without listing
+    an edge: v meets every interval whose left is <= right(v), except those
+    whose right is < left(v), and except itself."""
+    lefts = sorted(lo for _v, lo, _hi in rep.entries)
+    rights = sorted(hi for _v, _lo, hi in rep.entries)
+    degrees = [
+        bisect_right(lefts, hi) - bisect_left(rights, lo) - 1
+        for _v, lo, hi in rep.entries
+    ]
+    return sum(degrees) // 2, max(degrees, default=0)
+
+
 def interval_order(rep: IntervalRep) -> VertexOrder:
     """Vertices sorted by (left, right, id).
 
@@ -230,9 +243,9 @@ def max_clique_sweep(rep: IntervalRep) -> int:
     return best
 
 
-def _check_colors(g: Graph, colors: Sequence[int]) -> None:
-    if len(colors) != g.n:
-        raise ValueError(f"coloring covers {len(colors)} vertices, graph has {g.n}")
+def _check_colors(n: int, colors: Sequence[int]) -> None:
+    if len(colors) != n:
+        raise ValueError(f"coloring covers {len(colors)} vertices, graph has {n}")
     for v, c in enumerate(colors):
         if c is None:
             raise ValueError(f"vertex {v} is uncolored")
@@ -243,7 +256,7 @@ def first_monochromatic_cycle_edge(
 ) -> tuple[int, int] | None:
     """First edge, in ascending (u, v) order, that closes a cycle inside a
     color class; None when every class induces a forest."""
-    _check_colors(g, colors)
+    _check_colors(g.n, colors)
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -261,6 +274,41 @@ def first_monochromatic_cycle_edge(
             if ru == rv:
                 return (u, v)
             parent[ru] = rv
+    return None
+
+
+def first_monochromatic_triangle_edge(
+    rep: IntervalRep, colors: Sequence[int]
+) -> tuple[int, int] | None:
+    """An edge (u, v), u < v, of the first three intervals of one color that
+    share a point, in endpoint-sweep order; None when there are none.
+
+    Interval graphs are chordal, so a color class induces a forest iff it
+    has no triangle, and three pairwise intersecting intervals share a point
+    (Helly). One sweep that keeps the open intervals of each color therefore
+    decides what `first_monochromatic_cycle_edge` decides on the derived
+    graph, in O(n log n) time and without listing an edge. Lefts are swept
+    before rights at equal coordinates, since touching intervals intersect.
+    The returned edge joins the two smallest ids of the triangle.
+    """
+    _check_colors(rep.n, colors)
+    spans = rep.spans
+    starts = sorted(range(rep.n), key=lambda v: spans[v][0])
+    ends = sorted(range(rep.n), key=lambda v: spans[v][1])
+    open_by_color: dict[int, list[int]] = {}
+    e = 0
+    for v in starts:
+        lo = spans[v][0]
+        # Close every interval ending strictly before lo; v itself stops this.
+        while spans[ends[e]][1] < lo:
+            u = ends[e]
+            open_by_color[colors[u]].remove(u)
+            e += 1
+        members = open_by_color.setdefault(colors[v], [])
+        if len(members) == 2:
+            a, b, _ = sorted((*members, v))
+            return (a, b)
+        members.append(v)
     return None
 
 

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
-from treecolor import exact_solve, gen_random_interval
+import treecolor.cli
+from treecolor import ConsistencyError, derive_graph, exact_solve, gen_random_interval
 from treecolor.cli import main
 from treecolor.formats import (
     load_graph,
@@ -115,7 +117,22 @@ class TestVerify:
         assert code == 2
         report = stats(out)
         assert report["failure"] == "monochromatic_cycle"
-        assert "witness" in report
+        # An intervals file is swept: the witness is an edge of the first
+        # monochromatic triangle, joining its two smallest ids.
+        assert report["witness"] == "0,1"
+
+    def test_graph_file_witness_closes_first_cycle(self, capsys, tmp_path):
+        from treecolor.formats import write_graph
+
+        graph_path = tmp_path / "k3.graph"
+        write_graph(graph_path, derive_graph(equal_intervals_rep(3)))
+        col = tmp_path / "c.coloring"
+        col.write_text("coloring 3 1\n0 0\n1 0\n2 0\n")
+        code, out, _ = run(capsys, ["verify", str(graph_path), str(col)])
+        assert code == 2
+        # A graph file keeps the graph route: the first edge in (u, v) order
+        # that closes a cycle.
+        assert stats(out)["witness"] == "1,2"
 
     def test_imbalance(self, capsys, tmp_path):
         iv = tmp_path / "k4.intervals"
@@ -155,6 +172,11 @@ class TestSolve:
     def test_timeout(self, capsys, k6_file):
         code, out, _ = run(capsys, ["solve", k6_file, "--k", "3", "--timeout", "0"])
         assert code == 3 and stats(out)["answer"] == "TIMEOUT"
+
+    @pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf", "-inf", "ten"])
+    def test_timeout_must_be_finite_and_non_negative(self, capsys, k6_file, value):
+        code, out, err = run(capsys, ["solve", k6_file, "--k", "3", f"--timeout={value}"])
+        assert code == 1 and out == "" and "error: " in err and "--timeout" in err
 
     def test_graph_file_input(self, capsys, tmp_path, k6_file):
         from treecolor.formats import write_graph
@@ -214,6 +236,25 @@ class TestGen:
         from treecolor import derive_graph
 
         assert derive_graph(rep).adj == g.adj
+
+    @pytest.mark.parametrize(
+        "kind, missing",
+        [
+            ("interval-gadget", "--intervals-out"),
+            ("interval-gadget", "--labels-out"),
+            ("split-gadget", "--labels-out"),
+        ],
+    )
+    def test_missing_flag_writes_nothing(self, capsys, tmp_path, kind, missing):
+        inst = self.packing_file(tmp_path, (1, 1), 2, 1)
+        graph_out = tmp_path / "g.graph"
+        argv = ["gen", kind, inst, "--out", str(graph_out)]
+        for flag, name in (("--intervals-out", "g.intervals"), ("--labels-out", "g.labels")):
+            if flag != missing and (flag != "--intervals-out" or kind == "interval-gadget"):
+                argv += [flag, str(tmp_path / name)]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and missing in err and out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.binpacking"]
 
     def test_invalid_instance_sum(self, capsys, tmp_path):
         inst = self.packing_file(tmp_path, (3, 2), 2, 2)
@@ -285,6 +326,48 @@ class TestAnalyze:
         g = derive_graph(rep)
         smallest = next(k for k in range(1, g.n + 2) if exact_solve(g, k) is not None)
         assert reported == smallest
+
+
+class TestSweepRoute:
+    @pytest.fixture
+    def no_derive_graph(self, monkeypatch):
+        def refuse(rep):
+            raise AssertionError("derive_graph called on an intervals command")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "treecolor" and module is not None:
+                if module.__dict__.get("derive_graph") is derive_graph:
+                    monkeypatch.setattr(module, "derive_graph", refuse)
+
+    def test_interval_commands_never_derive_graph(
+        self, capsys, tmp_path, k4_file, no_derive_graph
+    ):
+        good = tmp_path / "good.coloring"
+        lopsided = tmp_path / "lopsided.coloring"
+        lopsided.write_text("coloring 4 2\n0 0\n1 0\n2 0\n3 1\n")
+        cases = [
+            (["analyze", k4_file], 0),
+            (["color", k4_file, "--k", "2", "--out", str(good)], 0),
+            (["color", k4_file, "--k", "1", "--out", str(tmp_path / "mono")], 2),
+            (["decide", k4_file, "--k", "2", "--out", str(tmp_path / "cert")], 0),
+            (["decide", k4_file, "--k", "1"], 2),
+            (["verify", k4_file, str(good)], 0),
+            (["verify", k4_file, str(tmp_path / "mono")], 2),
+            (["verify", k4_file, str(lopsided)], 2),
+        ]
+        for argv, expected in cases:
+            code, _, err = run(capsys, argv)
+            assert (argv, code, err) == (argv, expected, "")
+
+    def test_consistency_error_has_its_own_exit_code(self, capsys, monkeypatch, k4_file):
+        def disagree(rep, k):
+            raise ConsistencyError("cycle scan says True but clique bound says False")
+
+        monkeypatch.setattr(treecolor.cli, "decide_proper_interval", disagree)
+        code, out, err = run(capsys, ["decide", k4_file, "--k", "2"])
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and "clique bound" in err
+        assert "Traceback" not in err
 
 
 class TestHarness:

@@ -1,0 +1,127 @@
+"""The sweep core for interval inputs, checked against the graph route.
+
+Every function here answers a question about the intersection graph without
+building it; each property compares it with the same question asked of
+`derive_graph(rep)`.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treecolor import (
+    Coloring,
+    IntervalRep,
+    derive_graph,
+    first_monochromatic_cycle_edge,
+    first_monochromatic_triangle_edge,
+    interval_edge_stats,
+    verify_equitable_tree_coloring,
+    verify_interval_coloring,
+)
+
+from oracles import equal_intervals_rep, path_rep
+
+
+@st.composite
+def touching_reps(draw, max_n=40):
+    """Representations on a small coordinate range, so that intervals often
+    touch in one point, with some intervals repeated exactly and the ids and
+    the row order both shuffled."""
+    n = draw(st.integers(0, max_n))
+    max_coord = draw(st.integers(0, 2 * n + 1))
+    spans = []
+    for _ in range(n):
+        if spans and draw(st.integers(0, 3)) == 0:
+            spans.append(draw(st.sampled_from(spans)))
+        else:
+            a = draw(st.integers(0, max_coord))
+            b = draw(st.integers(0, max_coord))
+            spans.append((min(a, b), max(a, b)))
+    ids = draw(st.permutations(range(n)))
+    entries = [(v, lo, hi) for v, (lo, hi) in zip(ids, spans)]
+    return IntervalRep(tuple(draw(st.permutations(entries))))
+
+
+@st.composite
+def reps_with_colorings(draw):
+    """A representation and a coloring with k in 1..n+1: either an equitable
+    one, which reaches the cycle clause, or an arbitrary one."""
+    rep = draw(touching_reps())
+    k = draw(st.integers(1, rep.n + 1))
+    if draw(st.booleans()):
+        colors = draw(st.permutations([p % k for p in range(rep.n)]))
+    else:
+        colors = draw(st.lists(st.integers(0, k - 1), min_size=rep.n, max_size=rep.n))
+    return rep, Coloring(tuple(colors), k)
+
+
+class TestIntervalEdgeStats:
+    @settings(max_examples=100, deadline=None)
+    @given(touching_reps())
+    def test_matches_derived_graph(self, rep):
+        g = derive_graph(rep)
+        assert interval_edge_stats(rep) == (g.m, g.max_degree())
+
+    def test_empty(self):
+        assert interval_edge_stats(IntervalRep(())) == (0, 0)
+
+    def test_touching_counts_as_edge(self):
+        assert interval_edge_stats(path_rep(4)) == (3, 2)
+
+
+class TestTriangleSweep:
+    def test_triangle_touching_in_one_point(self):
+        rep = IntervalRep(((0, 0, 1), (1, 1, 2), (2, 1, 1)))
+        assert first_monochromatic_triangle_edge(rep, [0, 0, 0]) == (0, 1)
+
+    def test_path_has_no_triangle(self):
+        assert first_monochromatic_triangle_edge(path_rep(5), [0] * 5) is None
+
+    def test_witness_is_two_smallest_ids_of_first_triangle(self):
+        rep = IntervalRep(
+            ((0, 10, 11), (1, 10, 11), (2, 10, 11), (3, 0, 1), (4, 0, 1), (5, 0, 1))
+        )
+        assert first_monochromatic_triangle_edge(rep, [0] * 6) == (3, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(reps_with_colorings())
+    def test_agrees_with_cycle_scan_and_witness_is_monochromatic_edge(self, case):
+        rep, coloring = case
+        g = derive_graph(rep)
+        colors = coloring.colors
+        edge = first_monochromatic_triangle_edge(rep, colors)
+        assert (edge is None) == (first_monochromatic_cycle_edge(g, colors) is None)
+        if edge is not None:
+            u, v = edge
+            assert u < v and g.has_edge(u, v) and colors[u] == colors[v]
+            assert any(
+                colors[w] == colors[u] and g.has_edge(u, w) and g.has_edge(v, w)
+                for w in range(g.n)
+                if w not in edge
+            )
+
+
+class TestVerifyIntervalColoring:
+    @settings(max_examples=150, deadline=None)
+    @given(reps_with_colorings())
+    def test_matches_graph_verifier(self, case):
+        rep, coloring = case
+        sweep = verify_interval_coloring(rep, coloring)
+        graph = verify_equitable_tree_coloring(derive_graph(rep), coloring)
+        assert (sweep.ok, sweep.failure_kind) == (graph.ok, graph.failure_kind)
+        if sweep.failure_kind == "imbalance":
+            assert sweep.witness == graph.witness
+        if sweep.failure_kind == "monochromatic_cycle":
+            u, v = sweep.witness
+            assert derive_graph(rep).has_edge(u, v)
+            assert coloring[u] == coloring[v]
+
+    def test_uncolored_first(self):
+        rep = equal_intervals_rep(3)
+        short = Coloring((0, 0), 1)
+        assert verify_interval_coloring(rep, short).failure_kind == "uncolored"
+
+    def test_imbalance_before_cycle(self):
+        rep = equal_intervals_rep(4)
+        verdict = verify_interval_coloring(rep, Coloring((0, 0, 0, 1), 2))
+        assert (verdict.failure_kind, verdict.witness) == ("imbalance", (0, 1))
