@@ -38,8 +38,6 @@ from .graph import (
     IntervalRep,
     ProperContainmentError,
     RepresentationError,
-    VertexOrder,
-    color_classes_are_forests,
     derive_graph,
     find_proper_containment,
     first_monochromatic_cycle_edge,
@@ -47,9 +45,7 @@ from .graph import (
     interval_edge_stats,
     interval_order,
     is_proper_representation,
-    is_star_free,
     max_clique_sweep,
-    verify_order,
 )
 
 __version__ = "0.1.0"
@@ -67,11 +63,9 @@ __all__ = [
     "SolveTimeout",
     "SplitPart",
     "Verdict",
-    "VertexOrder",
     "build_interval_gadget",
     "build_split_gadget",
     "chain_clique_sequence",
-    "color_classes_are_forests",
     "coloring_from_packing",
     "decide_proper_interval",
     "derive_graph",
@@ -83,7 +77,6 @@ __all__ = [
     "interval_edge_stats",
     "interval_order",
     "is_proper_representation",
-    "is_star_free",
     "max_clique_sweep",
     "packing_from_coloring",
     "round_robin_color",
@@ -92,5 +85,4 @@ __all__ = [
     "verify_equitable_tree_coloring",
     "verify_interval_coloring",
     "verify_maximal_clique_order",
-    "verify_order",
 ]

@@ -32,6 +32,15 @@ class SolveTimeout(TimeoutError):
     """The exhaustive solver exceeded its time limit."""
 
 
+class ColoringError(ValueError):
+    """A coloring violates its invariants. Carries the vertex whose color is
+    out of range, or None when k itself is invalid."""
+
+    def __init__(self, vertex: int | None, message: str):
+        self.vertex = vertex
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class Coloring:
     """One color in 0..k-1 per vertex, indexed by vertex id."""
@@ -42,10 +51,10 @@ class Coloring:
     def __post_init__(self):
         object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ColoringError(None, "k must be >= 1")
         for v, c in enumerate(self.colors):
             if not 0 <= c < self.k:
-                raise ValueError(f"vertex {v} has color {c} outside 0..{self.k - 1}")
+                raise ColoringError(v, f"vertex {v} has color {c} outside 0..{self.k - 1}")
 
     def __len__(self) -> int:
         return len(self.colors)

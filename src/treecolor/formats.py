@@ -9,15 +9,21 @@ line is a header naming the format, and all ids and colors are 0-based.
     coloring <n> <k>     then n lines  <vertex> <color> with colors 0..k-1
     binpacking <n> <k> <B>  then n lines  <item-size>
     labels <kind>        then lines    <part-name> <vertex ids...>
+
+The four counted formats share one reader for the framing. Beyond it, a
+parser checks only the rules that exist in files alone (a graph row has
+u < v and appears once; a coloring file lists each vertex once); the types
+check every other value, and their errors are reported on the row's line.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
-from .coloring import Coloring
+from .coloring import Coloring, ColoringError
 from .gadgets import INTERVAL, SPLIT, BinPackingInstance, GadgetLayout
-from .graph import Graph, IntervalRep, derive_graph
+from .graph import Graph, IntervalRep, RepresentationError, derive_graph
 
 
 class ParseError(ValueError):
@@ -29,11 +35,12 @@ class ParseError(ValueError):
 
 
 def _read_lines(path) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of every line that holds data."""
     lines = []
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((line_no, body.split()))
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            lines.append((line_no, tokens))
     return lines
 
 
@@ -44,52 +51,81 @@ def _int(line_no: int, token: str) -> int:
         raise ParseError(line_no, f"expected an integer, found {token!r}") from None
 
 
-def _header(lines, kind: str, field_count: int):
-    """Return (line_no, field tokens, body lines) for the expected header."""
+def _ints(line_no: int, tokens: list[str]) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        # Again token by token, to name the one that is not an integer.
+        return tuple(_int(line_no, token) for token in tokens)
+
+
+# The counted formats: header fields, the index of the field that counts the
+# rows, and the fields of a row. The first field, n, and the row count must
+# be >= 0; the types check every other value.
+_LAYOUTS = {
+    "intervals": (("n",), 0, ("id", "left", "right")),
+    "graph": (("n", "m"), 1, ("u", "v")),
+    "coloring": (("n", "k"), 0, ("vertex", "color")),
+    "binpacking": (("n", "k", "B"), 0, ("size",)),
+}
+
+
+class _Table(NamedTuple):
+    kind: str
+    header_no: int
+    header: tuple[int, ...]
+    line_nos: list[int]
+    rows: list[tuple[int, ...]]
+
+
+def _read(path, *kinds: str) -> _Table:
+    """The header and the rows of a counted file whose header names one of
+    kinds, with every token an integer and exactly as many rows, each of
+    its format's width, as the header counts."""
+    expected = " or ".join(f"'{kind}'" for kind in kinds)
+    lines = _read_lines(path)
     if not lines:
-        raise ParseError(1, f"empty file, expected a '{kind}' header")
-    line_no, tokens = lines[0]
-    if tokens[0] != kind:
-        raise ParseError(line_no, f"expected a '{kind}' header, found {tokens[0]!r}")
-    if len(tokens) != 1 + field_count:
-        raise ParseError(line_no, f"'{kind}' header takes {field_count} fields")
-    return line_no, tokens[1:], lines[1:]
-
-
-def _exact_rows(header_no: int, body, count: int, what: str):
+        raise ParseError(1, f"empty file, expected a {expected} header")
+    header_no, tokens = lines[0]
+    kind = tokens[0]
+    if kind not in kinds:
+        raise ParseError(header_no, f"expected a {expected} header, found {kind!r}")
+    fields, counted, row_fields = _LAYOUTS[kind]
+    if len(tokens) != 1 + len(fields):
+        usage = " ".join(f"<{name}>" for name in fields)
+        raise ParseError(header_no, f"the header is '{kind} {usage}'")
+    header = _ints(header_no, tokens[1:])
+    for i in sorted({0, counted}):
+        if header[i] < 0:
+            raise ParseError(header_no, f"header count {fields[i]} must be >= 0")
+    body = lines[1:]
+    count = header[counted]
     if len(body) > count:
-        raise ParseError(body[count][0], f"unexpected extra line, expected {count} {what}")
+        raise ParseError(body[count][0], f"extra line, the header counts {count} rows")
     if len(body) < count:
         last = body[-1][0] if body else header_no
-        raise ParseError(last, f"file ends after {len(body)} of {count} {what}")
-    return body
+        raise ParseError(last, f"file ends after {len(body)} of {count} rows")
+    width = len(row_fields)
+    line_nos = []
+    rows = []
+    for line_no, tokens in body:
+        if len(tokens) != width:
+            usage = " ".join(f"<{name}>" for name in row_fields)
+            raise ParseError(line_no, f"{kind} rows are '{usage}'")
+        line_nos.append(line_no)
+        rows.append(_ints(line_no, tokens))
+    return _Table(kind, header_no, header, line_nos, rows)
 
 
 def parse_intervals(path) -> IntervalRep:
-    return _intervals_from_lines(_read_lines(path))
+    return _intervals(_read(path, "intervals"))
 
 
-def _intervals_from_lines(lines) -> IntervalRep:
-    header_no, fields, body = _header(lines, "intervals", 1)
-    n = _int(header_no, fields[0])
-    if n < 0:
-        raise ParseError(header_no, "vertex count must be >= 0")
-    body = _exact_rows(header_no, body, n, "interval rows")
-    entries = []
-    seen = set()
-    for line_no, tokens in body:
-        if len(tokens) != 3:
-            raise ParseError(line_no, "interval rows are '<id> <left> <right>'")
-        v, lo, hi = (_int(line_no, t) for t in tokens)
-        if not 0 <= v < n:
-            raise ParseError(line_no, f"vertex id {v} outside 0..{n - 1}")
-        if v in seen:
-            raise ParseError(line_no, f"duplicate vertex id {v}")
-        if lo > hi:
-            raise ParseError(line_no, f"left {lo} > right {hi}")
-        seen.add(v)
-        entries.append((v, lo, hi))
-    return IntervalRep(tuple(entries))
+def _intervals(table: _Table) -> IntervalRep:
+    try:
+        return IntervalRep(tuple(table.rows))
+    except RepresentationError as exc:
+        raise ParseError(table.line_nos[exc.position], str(exc)) from None
 
 
 def write_intervals(path, rep: IntervalRep) -> None:
@@ -101,29 +137,19 @@ def write_intervals(path, rep: IntervalRep) -> None:
 
 
 def parse_graph(path) -> Graph:
-    return _graph_from_lines(_read_lines(path))
+    return _graph(_read(path, "graph"))
 
 
-def _graph_from_lines(lines) -> Graph:
-    header_no, fields, body = _header(lines, "graph", 2)
-    n = _int(header_no, fields[0])
-    m = _int(header_no, fields[1])
-    if n < 0 or m < 0:
-        raise ParseError(header_no, "vertex and edge counts must be >= 0")
-    body = _exact_rows(header_no, body, m, "edge rows")
-    edges = []
+def _graph(table: _Table) -> Graph:
+    n = table.header[0]
     seen = set()
-    for line_no, tokens in body:
-        if len(tokens) != 2:
-            raise ParseError(line_no, "edge rows are '<u> <v>'")
-        u, v = (_int(line_no, t) for t in tokens)
+    for line_no, (u, v) in zip(table.line_nos, table.rows):
         if not 0 <= u < v < n:
             raise ParseError(line_no, f"edge ({u}, {v}) must satisfy 0 <= u < v < {n}")
         if (u, v) in seen:
             raise ParseError(line_no, f"duplicate edge ({u}, {v})")
         seen.add((u, v))
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, table.rows)
 
 
 def write_graph(path, g: Graph) -> None:
@@ -133,28 +159,22 @@ def write_graph(path, g: Graph) -> None:
 
 
 def parse_coloring(path) -> Coloring:
-    lines = _read_lines(path)
-    header_no, fields, body = _header(lines, "coloring", 2)
-    n = _int(header_no, fields[0])
-    k = _int(header_no, fields[1])
-    if n < 0:
-        raise ParseError(header_no, "vertex count must be >= 0")
-    if k < 1:
-        raise ParseError(header_no, "color count must be >= 1")
-    body = _exact_rows(header_no, body, n, "coloring rows")
-    colors = [-1] * n
-    for line_no, tokens in body:
-        if len(tokens) != 2:
-            raise ParseError(line_no, "coloring rows are '<vertex> <color>'")
-        v, c = (_int(line_no, t) for t in tokens)
+    table = _read(path, "coloring")
+    n, k = table.header
+    colors: list[int | None] = [None] * n
+    line_of = [0] * n
+    for line_no, (v, c) in zip(table.line_nos, table.rows):
         if not 0 <= v < n:
             raise ParseError(line_no, f"vertex id {v} outside 0..{n - 1}")
-        if colors[v] != -1:
+        if colors[v] is not None:
             raise ParseError(line_no, f"duplicate vertex id {v}")
-        if not 0 <= c < k:
-            raise ParseError(line_no, f"color {c} outside 0..{k - 1}")
         colors[v] = c
-    return Coloring(tuple(colors), k)
+        line_of[v] = line_no
+    try:
+        return Coloring(tuple(colors), k)
+    except ColoringError as exc:
+        line_no = table.header_no if exc.vertex is None else line_of[exc.vertex]
+        raise ParseError(line_no, str(exc)) from None
 
 
 def write_coloring(path, c: Coloring) -> None:
@@ -164,23 +184,12 @@ def write_coloring(path, c: Coloring) -> None:
 
 
 def parse_binpacking(path) -> BinPackingInstance:
-    lines = _read_lines(path)
-    header_no, fields, body = _header(lines, "binpacking", 3)
-    n = _int(header_no, fields[0])
-    k = _int(header_no, fields[1])
-    capacity = _int(header_no, fields[2])
-    if n < 0:
-        raise ParseError(header_no, "item count must be >= 0")
-    body = _exact_rows(header_no, body, n, "item rows")
-    items = []
-    for line_no, tokens in body:
-        if len(tokens) != 1:
-            raise ParseError(line_no, "item rows are a single '<size>'")
-        items.append(_int(line_no, tokens[0]))
+    table = _read(path, "binpacking")
+    _n, k, capacity = table.header
     try:
-        return BinPackingInstance(tuple(items), k, capacity)
+        return BinPackingInstance(tuple(size for (size,) in table.rows), k, capacity)
     except ValueError as exc:
-        raise ParseError(header_no, str(exc)) from None
+        raise ParseError(table.header_no, str(exc)) from None
 
 
 def write_binpacking(path, inst: BinPackingInstance) -> None:
@@ -202,7 +211,7 @@ def parse_labels(path) -> tuple[str, dict[str, tuple[int, ...]]]:
         name = tokens[0]
         if name in parts:
             raise ParseError(line_no, f"duplicate part name {name!r}")
-        parts[name] = tuple(_int(line_no, t) for t in tokens[1:])
+        parts[name] = _ints(line_no, tokens[1:])
     return kind, parts
 
 
@@ -222,26 +231,11 @@ def write_labels(path, layout: GadgetLayout) -> None:
     Path(path).write_text("\n".join(out) + "\n")
 
 
-def detect_kind(path) -> str:
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(1, "empty file")
-    return lines[0][1][0]
-
-
 def parse_graph_or_intervals(path) -> Graph | IntervalRep:
     """A graph file as a Graph or an intervals file as an IntervalRep,
     reading the file once."""
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(1, "empty file")
-    line_no, tokens = lines[0]
-    kind = tokens[0]
-    if kind == "graph":
-        return _graph_from_lines(lines)
-    if kind == "intervals":
-        return _intervals_from_lines(lines)
-    raise ParseError(line_no, f"expected a graph or intervals file, found {kind!r}")
+    table = _read(path, "graph", "intervals")
+    return _graph(table) if table.kind == "graph" else _intervals(table)
 
 
 def load_graph(path) -> tuple[Graph, IntervalRep | None]:

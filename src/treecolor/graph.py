@@ -13,7 +13,12 @@ from typing import Iterable, Iterator, Sequence
 
 
 class RepresentationError(ValueError):
-    """An interval representation violates its structural invariants."""
+    """An interval representation violates its structural invariants.
+    Carries the position of the offending entry."""
+
+    def __init__(self, position: int, message: str):
+        self.position = position
+        super().__init__(message)
 
 
 class ProperContainmentError(ValueError):
@@ -35,18 +40,23 @@ class IntervalRep:
     entries: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        entries = tuple((int(v), int(lo), int(hi)) for v, lo, hi in self.entries)
-        object.__setattr__(self, "entries", entries)
-        seen = set()
-        for v, lo, hi in entries:
+        # n entries with distinct ids in 0..n-1 use every id exactly once.
+        n = len(self.entries)
+        seen = bytearray(n)
+        entries = []
+        for position, (v, lo, hi) in enumerate(self.entries):
+            v, lo, hi = int(v), int(lo), int(hi)
+            if not 0 <= v < n:
+                raise RepresentationError(
+                    position, f"vertex id {v} outside 0..{n - 1}, so an id is missing"
+                )
+            if seen[v]:
+                raise RepresentationError(position, f"duplicate vertex id {v}")
             if lo > hi:
-                raise RepresentationError(f"vertex {v}: left {lo} > right {hi}")
-            if v in seen:
-                raise RepresentationError(f"duplicate vertex id {v}")
-            seen.add(v)
-        if seen != set(range(len(entries))):
-            missing = min(set(range(len(entries))) - seen)
-            raise RepresentationError(f"vertex ids must be 0..n-1; {missing} is missing")
+                raise RepresentationError(position, f"vertex {v}: left {lo} > right {hi}")
+            seen[v] = 1
+            entries.append((v, lo, hi))
+        object.__setattr__(self, "entries", tuple(entries))
 
     @property
     def n(self) -> int:
@@ -113,25 +123,6 @@ class Graph:
                     yield (u, v)
 
 
-@dataclass(frozen=True)
-class VertexOrder:
-    """A permutation of the vertex ids."""
-
-    permutation: tuple[int, ...]
-
-    def __post_init__(self):
-        perm = tuple(int(v) for v in self.permutation)
-        object.__setattr__(self, "permutation", perm)
-        if sorted(perm) != list(range(len(perm))):
-            raise ValueError("permutation must be a bijection on 0..n-1")
-
-    def __len__(self) -> int:
-        return len(self.permutation)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.permutation)
-
-
 def derive_graph(rep: IntervalRep) -> Graph:
     """Intersection graph of the intervals: u ~ v iff the closed intervals
     share at least one point, i.e. max(lefts) <= min(rights)."""
@@ -161,34 +152,14 @@ def interval_edge_stats(rep: IntervalRep) -> tuple[int, int]:
     return sum(degrees) // 2, max(degrees, default=0)
 
 
-def interval_order(rep: IntervalRep) -> VertexOrder:
+def interval_order(rep: IntervalRep) -> tuple[int, ...]:
     """Vertices sorted by (left, right, id).
 
     For any representation the result has the property that whenever
     u < v < w and uw is an edge, uv is an edge too.
     """
     spans = rep.spans
-    perm = sorted(range(rep.n), key=lambda v: (spans[v][0], spans[v][1], v))
-    return VertexOrder(tuple(perm))
-
-
-def verify_order(g: Graph, order: VertexOrder) -> bool:
-    """Check on all triples that u < v < w and uw in E imply uv in E.
-
-    Cubic scan by design; this is a test oracle, not a hot path.
-    """
-    if len(order) != g.n:
-        raise ValueError(f"order has {len(order)} vertices, graph has {g.n}")
-    perm = order.permutation
-    nbr = g.neighbor_sets
-    for p in range(g.n):
-        u = perm[p]
-        for r in range(p + 2, g.n):
-            if perm[r] in nbr[u]:
-                for q in range(p + 1, r):
-                    if perm[q] not in nbr[u]:
-                        return False
-    return True
+    return tuple(sorted(range(rep.n), key=lambda v: (spans[v][0], spans[v][1], v)))
 
 
 def find_proper_containment(rep: IntervalRep) -> tuple[int, int] | None:
@@ -310,35 +281,3 @@ def first_monochromatic_triangle_edge(
             return (a, b)
         members.append(v)
     return None
-
-
-def color_classes_are_forests(g: Graph, colors: Sequence[int]) -> bool:
-    """True iff every color class induces an acyclic subgraph."""
-    return first_monochromatic_cycle_edge(g, colors) is None
-
-
-def is_star_free(g: Graph, r: int) -> bool:
-    """True iff no vertex has r pairwise non-adjacent neighbors, i.e. the
-    graph has no induced star with r leaves.
-
-    Exhaustive search inside each neighborhood; intended for validation at
-    test scale, not for large graphs.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    for v in range(g.n):
-        if g.degree(v) >= r and _independent_subset_exists(g, list(g.adj[v]), r):
-            return False
-    return True
-
-
-def _independent_subset_exists(g: Graph, candidates: list[int], size: int) -> bool:
-    if size == 0:
-        return True
-    if len(candidates) < size:
-        return False
-    head, rest = candidates[0], candidates[1:]
-    compatible = [w for w in rest if w not in g.neighbor_sets[head]]
-    if _independent_subset_exists(g, compatible, size - 1):
-        return True
-    return _independent_subset_exists(g, rest, size)

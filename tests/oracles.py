@@ -1,14 +1,21 @@
-"""Independent brute-force oracles and small builders used across the tests.
+"""Brute-force oracles, test-only checks and small builders used across the
+tests.
 
-Everything here deliberately avoids the library's fast paths: max cliques by
-scanning all 2^n subsets, forests by DFS, packings by enumerating all bin
-assignments, stars by scanning all neighbor r-subsets, maximal cliques via
-networkx's enumeration.
+The independent oracles deliberately avoid the library's fast paths: max
+cliques by scanning all 2^n subsets, forests by DFS, packings by enumerating
+all bin assignments, stars by scanning all neighbor r-subsets, maximal
+cliques via networkx's enumeration. The checks with superlinear cost that
+the tests hold the library to (`verify_order`, `is_star_free`) live here
+too, with `color_classes_are_forests` and `detect_kind`, which no library
+code calls.
 """
 
 from itertools import combinations, product
+from pathlib import Path
+from typing import Sequence
 
-from treecolor import Graph, IntervalRep
+from treecolor import Graph, IntervalRep, first_monochromatic_cycle_edge
+from treecolor.formats import ParseError
 
 
 def max_clique_bruteforce(g: Graph) -> int:
@@ -93,3 +100,62 @@ def equal_intervals_rep(n: int) -> IntervalRep:
 def path_rep(n: int) -> IntervalRep:
     """Chain of touching unit intervals; derives the path P_n."""
     return IntervalRep(tuple((v, v, v + 1) for v in range(n)))
+
+
+def verify_order(g: Graph, order: Sequence[int]) -> bool:
+    """Check on all triples that u < v < w and uw in E imply uv in E.
+
+    Cubic scan by design; this is a test oracle, not a hot path.
+    """
+    if len(order) != g.n:
+        raise ValueError(f"order has {len(order)} vertices, graph has {g.n}")
+    nbr = g.neighbor_sets
+    for p in range(g.n):
+        u = order[p]
+        for r in range(p + 2, g.n):
+            if order[r] in nbr[u]:
+                for q in range(p + 1, r):
+                    if order[q] not in nbr[u]:
+                        return False
+    return True
+
+
+def color_classes_are_forests(g: Graph, colors: Sequence[int]) -> bool:
+    """True iff every color class induces an acyclic subgraph."""
+    return first_monochromatic_cycle_edge(g, colors) is None
+
+
+def is_star_free(g: Graph, r: int) -> bool:
+    """True iff no vertex has r pairwise non-adjacent neighbors, i.e. the
+    graph has no induced star with r leaves.
+
+    Exhaustive search inside each neighborhood; intended for validation at
+    test scale, not for large graphs.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    for v in range(g.n):
+        if g.degree(v) >= r and _independent_subset_exists(g, list(g.adj[v]), r):
+            return False
+    return True
+
+
+def _independent_subset_exists(g: Graph, candidates: list[int], size: int) -> bool:
+    if size == 0:
+        return True
+    if len(candidates) < size:
+        return False
+    head, rest = candidates[0], candidates[1:]
+    compatible = [w for w in rest if w not in g.neighbor_sets[head]]
+    if _independent_subset_exists(g, compatible, size - 1):
+        return True
+    return _independent_subset_exists(g, rest, size)
+
+
+def detect_kind(path) -> str:
+    """The header word of a line-format file."""
+    for raw in Path(path).read_text().splitlines():
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            return tokens[0]
+    raise ParseError(1, "empty file")

@@ -26,7 +26,6 @@ from treecolor import (
     first_monochromatic_cycle_edge,
     gen_random_interval,
     interval_order,
-    is_star_free,
     max_clique_sweep,
     packing_from_coloring,
     round_robin_color,
@@ -34,7 +33,6 @@ from treecolor import (
     validate_layout,
     verify_equitable_tree_coloring,
     verify_maximal_clique_order,
-    verify_order,
 )
 from treecolor.cli import main
 from treecolor.formats import (
@@ -46,7 +44,12 @@ from treecolor.formats import (
     write_intervals,
 )
 
-from oracles import equal_intervals_rep, max_clique_bruteforce
+from oracles import (
+    equal_intervals_rep,
+    is_star_free,
+    max_clique_bruteforce,
+    verify_order,
+)
 
 
 def report(name, problems, extra=""):

@@ -11,7 +11,6 @@ from treecolor import (
 )
 from treecolor.formats import (
     ParseError,
-    detect_kind,
     load_graph,
     parse_binpacking,
     parse_coloring,
@@ -24,6 +23,8 @@ from treecolor.formats import (
     write_intervals,
     write_labels,
 )
+
+from oracles import detect_kind
 
 
 class TestRoundTrips:

@@ -1,10 +1,14 @@
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
 
 from treecolor import (
     BinPackingInstance,
+    ChainPart,
     ConsistencyError,
+    Graph,
+    IntervalRep,
     build_interval_gadget,
     build_split_gadget,
     chain_clique_sequence,
@@ -13,7 +17,6 @@ from treecolor import (
     exact_solve,
     gen_random_interval,
     is_proper_representation,
-    is_star_free,
     max_clique_sweep,
     packing_from_coloring,
     solve_bin_packing,
@@ -23,6 +26,7 @@ from treecolor import (
 )
 
 from oracles import (
+    is_star_free,
     maximal_cliques_networkx,
     packing_feasible_bruteforce,
     star_bruteforce,
@@ -195,6 +199,39 @@ class TestMaximalCliqueOrder:
         layout = build_split_gadget(BinPackingInstance((1,), 1, 1))
         with pytest.raises(ValueError):
             verify_maximal_clique_order(layout)
+
+
+class TestValidateLayoutRejects:
+    """Built layouts corrupted in one place, each caught by validate_layout."""
+
+    def test_wrong_rep_span(self):
+        layout = build_interval_gadget(BinPackingInstance((2, 1), 3, 1))
+        entries = [(0, -100, -90)] + [e for e in layout.rep.entries if e[0] != 0]
+        corrupted = replace(layout, rep=IntervalRep(tuple(entries)))
+        with pytest.raises(ConsistencyError, match="rep-derived adjacency"):
+            validate_layout(corrupted)
+
+    @pytest.mark.parametrize("build", [build_split_gadget, build_interval_gadget])
+    def test_missing_label_edge(self, build):
+        layout = build(BinPackingInstance((2, 1), 3, 1))
+        edges = list(layout.graph.edges())[1:]
+        corrupted = replace(layout, graph=Graph.from_edges(layout.graph.n, edges))
+        with pytest.raises(ConsistencyError, match="label-implied edges"):
+            validate_layout(corrupted)
+
+    def test_non_maximal_listed_clique(self):
+        # Graph, rep and labels agree on a triangle, but the second listed
+        # clique, {hub} with an empty clique label, lies inside the first.
+        layout = build_interval_gadget(BinPackingInstance((1,), 1, 1))
+        rep = IntervalRep(((0, 0, 1), (1, 0, 1), (2, 0, 1)))
+        corrupted = replace(
+            layout,
+            graph=derive_graph(rep),
+            rep=rep,
+            parts=(ChainPart(((0, 1), ()), (2,)),),
+        )
+        with pytest.raises(ConsistencyError, match="maximal-clique ordering"):
+            validate_layout(corrupted)
 
 
 class TestWitnessMaps:

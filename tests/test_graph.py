@@ -8,24 +8,23 @@ from treecolor import (
     Graph,
     IntervalRep,
     RepresentationError,
-    VertexOrder,
-    color_classes_are_forests,
     derive_graph,
     find_proper_containment,
     first_monochromatic_cycle_edge,
     interval_order,
     is_proper_representation,
-    is_star_free,
     max_clique_sweep,
-    verify_order,
 )
 
 from oracles import (
+    color_classes_are_forests,
     equal_intervals_rep,
     forests_by_dfs,
+    is_star_free,
     max_clique_bruteforce,
     path_rep,
     star_bruteforce,
+    verify_order,
 )
 
 
@@ -105,10 +104,10 @@ class TestDeriveGraph:
 class TestIntervalOrder:
     def test_sorts_by_left_then_right(self):
         rep = IntervalRep(((0, 5, 6), (1, 0, 9), (2, 0, 2)))
-        assert interval_order(rep).permutation == (2, 1, 0)
+        assert interval_order(rep) == (2, 1, 0)
 
     def test_equal_intervals_tie_break_by_id(self):
-        assert interval_order(equal_intervals_rep(4)).permutation == (0, 1, 2, 3)
+        assert interval_order(equal_intervals_rep(4)) == (0, 1, 2, 3)
 
     @given(interval_reps())
     def test_output_always_passes_verify_order(self, rep):
@@ -118,26 +117,26 @@ class TestIntervalOrder:
 class TestVerifyOrder:
     def test_path_in_natural_order(self):
         g = derive_graph(path_rep(3))
-        assert verify_order(g, VertexOrder((0, 1, 2)))
+        assert verify_order(g, (0, 1, 2))
 
     def test_path_in_bad_order(self):
         g = derive_graph(path_rep(3))
-        assert not verify_order(g, VertexOrder((0, 2, 1)))
+        assert not verify_order(g, (0, 2, 1))
 
     def test_four_cycle_fails_every_order(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         for perm in permutations(range(4)):
-            assert not verify_order(g, VertexOrder(perm))
+            assert not verify_order(g, perm)
 
     def test_triangle_passes_every_order(self):
         g = derive_graph(equal_intervals_rep(3))
         for perm in permutations(range(3)):
-            assert verify_order(g, VertexOrder(perm))
+            assert verify_order(g, perm)
 
     def test_length_mismatch_raises(self):
         g = derive_graph(path_rep(3))
         with pytest.raises(ValueError):
-            verify_order(g, VertexOrder((0, 1)))
+            verify_order(g, (0, 1))
 
 
 class TestProperRepresentation:
