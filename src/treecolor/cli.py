@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g, _rep = formats.load_graph(args.graph)
+    g = formats.load_graph(args.graph)
     report = RunReport("solve", statistics={"n": g.n, "m": g.m, "k": args.k})
     try:
         coloring = exact_solve(g, args.k, time_limit=args.timeout)

@@ -152,8 +152,6 @@ def decide_proper_interval(
     coloring followed by a sweep for a monochromatic triangle. For proper
     representations they agree; a disagreement raises ConsistencyError.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     pair = find_proper_containment(rep)
     if pair is not None:
         raise ProperContainmentError(*pair)

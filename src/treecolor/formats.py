@@ -238,10 +238,7 @@ def parse_graph_or_intervals(path) -> Graph | IntervalRep:
     return _graph(table) if table.kind == "graph" else _intervals(table)
 
 
-def load_graph(path) -> tuple[Graph, IntervalRep | None]:
-    """Load a graph file directly, or derive the graph from an intervals
-    file; returns the representation as well when there is one."""
+def load_graph(path) -> Graph:
+    """Load a graph file directly, or derive the graph from an intervals file."""
     source = parse_graph_or_intervals(path)
-    if isinstance(source, Graph):
-        return source, None
-    return derive_graph(source), source
+    return source if isinstance(source, Graph) else derive_graph(source)

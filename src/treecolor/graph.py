@@ -7,7 +7,7 @@ integer endpoints, so two intervals that merely touch in a point intersect.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -38,11 +38,14 @@ class IntervalRep:
     """A family of named closed integer intervals, one per vertex id 0..n-1."""
 
     entries: tuple[tuple[int, int, int], ...]
+    # (left, right) endpoints indexed by vertex id, built by __post_init__.
+    spans: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # n entries with distinct ids in 0..n-1 use every id exactly once.
+        # n entries with distinct ids in 0..n-1 use every id exactly once;
+        # a filled slot of spans is a duplicate id.
         n = len(self.entries)
-        seen = bytearray(n)
+        spans: list[tuple[int, int] | None] = [None] * n
         entries = []
         for position, (v, lo, hi) in enumerate(self.entries):
             v, lo, hi = int(v), int(lo), int(hi)
@@ -50,25 +53,23 @@ class IntervalRep:
                 raise RepresentationError(
                     position, f"vertex id {v} outside 0..{n - 1}, so an id is missing"
                 )
-            if seen[v]:
+            if spans[v] is not None:
                 raise RepresentationError(position, f"duplicate vertex id {v}")
             if lo > hi:
                 raise RepresentationError(position, f"vertex {v}: left {lo} > right {hi}")
-            seen[v] = 1
+            spans[v] = (lo, hi)
             entries.append((v, lo, hi))
         object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "spans", tuple(spans))
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
     @cached_property
-    def spans(self) -> tuple[tuple[int, int], ...]:
-        """(left, right) endpoints indexed by vertex id."""
-        spans: list[tuple[int, int]] = [(0, 0)] * self.n
-        for v, lo, hi in self.entries:
-            spans[v] = (lo, hi)
-        return tuple(spans)
+    def order(self) -> tuple[int, ...]:
+        """Vertices sorted by (left, right, id), the order every sweep reads."""
+        return tuple(v for _lo, _hi, v in sorted((lo, hi, v) for v, lo, hi in self.entries))
 
     def left(self, v: int) -> int:
         return self.spans[v][0]
@@ -126,25 +127,29 @@ class Graph:
 def derive_graph(rep: IntervalRep) -> Graph:
     """Intersection graph of the intervals: u ~ v iff the closed intervals
     share at least one point, i.e. max(lefts) <= min(rights)."""
-    ordered = sorted(rep.entries, key=lambda e: (e[1], e[2], e[0]))
-    lefts = [lo for _, lo, _ in ordered]
+    spans, order = rep.spans, rep.order
+    lefts = [spans[v][0] for v in order]
     neighbors: list[list[int]] = [[] for _ in range(rep.n)]
-    for p, (v, _lo, hi) in enumerate(ordered):
-        # Everything after p whose left endpoint is still <= hi intersects v.
-        stop = bisect_right(lefts, hi)
-        for q in range(p + 1, stop):
-            w = ordered[q][0]
-            neighbors[v].append(w)
+    for p, v in enumerate(order):
+        # Everything after p whose left endpoint is still <= right(v) meets v.
+        later = order[p + 1 : bisect_right(lefts, spans[v][1])]
+        neighbors[v].extend(later)
+        for w in later:
             neighbors[w].append(v)
     return Graph(tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
+
+
+def _sorted_endpoints(rep: IntervalRep) -> tuple[list[int], list[int]]:
+    """The lefts in interval order, and the rights sorted."""
+    spans = rep.spans
+    return [spans[v][0] for v in rep.order], sorted(hi for _lo, hi in spans)
 
 
 def interval_edge_stats(rep: IntervalRep) -> tuple[int, int]:
     """(edge count, max degree) of the intersection graph without listing
     an edge: v meets every interval whose left is <= right(v), except those
     whose right is < left(v), and except itself."""
-    lefts = sorted(lo for _v, lo, _hi in rep.entries)
-    rights = sorted(hi for _v, _lo, hi in rep.entries)
+    lefts, rights = _sorted_endpoints(rep)
     degrees = [
         bisect_right(lefts, hi) - bisect_left(rights, lo) - 1
         for _v, lo, hi in rep.entries
@@ -153,38 +158,32 @@ def interval_edge_stats(rep: IntervalRep) -> tuple[int, int]:
 
 
 def interval_order(rep: IntervalRep) -> tuple[int, ...]:
-    """Vertices sorted by (left, right, id).
+    """Vertices sorted by (left, right, id); the representation's cached order.
 
     For any representation the result has the property that whenever
     u < v < w and uw is an edge, uv is an edge too.
     """
-    spans = rep.spans
-    return tuple(sorted(range(rep.n), key=lambda v: (spans[v][0], spans[v][1], v)))
+    return rep.order
 
 
 def find_proper_containment(rep: IntervalRep) -> tuple[int, int] | None:
     """Return (outer, inner) where outer's interval properly contains inner's,
     or None. Identical intervals do not count as containment."""
-    ordered = sorted(rep.entries, key=lambda e: (e[1], e[2], e[0]))
-    best_right = None  # widest reach among entries with strictly smaller left
-    best_vertex = -1
-    idx = 0
-    while idx < len(ordered):
-        stop = idx
-        while stop < len(ordered) and ordered[stop][1] == ordered[idx][1]:
-            stop += 1
-        group = ordered[idx:stop]
-        if best_right is not None:
-            for v, _lo, hi in group:
-                if hi <= best_right:
-                    return (best_vertex, v)
-        if group[-1][2] > group[0][2]:  # same left, different rights
-            return (group[-1][0], group[0][0])
-        for v, _lo, hi in group:
-            if best_right is None or hi > best_right:
-                best_right = hi
-                best_vertex = v
-        idx = stop
+    spans, order = rep.spans, rep.order
+    lefts = [spans[v][0] for v in order]
+    reach = None  # (right, vertex) reaching furthest among strictly smaller lefts
+    p = 0
+    while p < len(order):
+        # order[p:stop] share one left; first has the smallest right.
+        stop = bisect_right(lefts, lefts[p], p)
+        first, last = order[p], order[stop - 1]
+        hi = spans[first][1]
+        if reach is not None and hi <= reach[0]:
+            return (reach[1], first)
+        if spans[last][1] > hi:
+            return (last, first)
+        reach = (hi, first)
+        p = stop
     return None
 
 
@@ -194,23 +193,19 @@ def is_proper_representation(rep: IntervalRep) -> bool:
 
 
 def max_clique_sweep(rep: IntervalRep) -> int:
-    """Clique number: the largest number of intervals covering one point,
-    found by sweeping the sorted endpoints. Left endpoints are processed
-    before right endpoints at equal coordinates because closed intervals
-    touching in a point intersect."""
-    events = []
-    for _v, lo, hi in rep.entries:
-        events.append((lo, 0))
-        events.append((hi, 1))
-    events.sort()
-    best = depth = 0
-    for _coord, kind in events:
-        if kind == 0:
-            depth += 1
-            if depth > best:
-                best = depth
-        else:
-            depth -= 1
+    """Clique number: the largest number of intervals covering one point.
+
+    Depth peaks at a left endpoint, so a merge of the lefts in interval
+    order with the sorted rights finds it: at the i-th left it is i less the
+    rights strictly before that left, since closed intervals touching in a
+    point intersect.
+    """
+    lefts, rights = _sorted_endpoints(rep)
+    best = ended = 0
+    for seen, lo in enumerate(lefts, start=1):
+        while rights[ended] < lo:
+            ended += 1
+        best = max(best, seen - ended)
     return best
 
 
@@ -251,33 +246,28 @@ def first_monochromatic_cycle_edge(
 def first_monochromatic_triangle_edge(
     rep: IntervalRep, colors: Sequence[int]
 ) -> tuple[int, int] | None:
-    """An edge (u, v), u < v, of the first three intervals of one color that
-    share a point, in endpoint-sweep order; None when there are none.
+    """An edge (u, v), u < v, of the first triangle of one color in interval
+    order (left, right, id); None when there are none.
 
     Interval graphs are chordal, so a color class induces a forest iff it
     has no triangle, and three pairwise intersecting intervals share a point
-    (Helly). One sweep that keeps the open intervals of each color therefore
+    (Helly), namely the left of the last of them in interval order. One walk
+    of that order that keeps the open intervals of each color therefore
     decides what `first_monochromatic_cycle_edge` decides on the derived
-    graph, in O(n log n) time and without listing an edge. Lefts are swept
-    before rights at equal coordinates, since touching intervals intersect.
-    The returned edge joins the two smallest ids of the triangle.
+    graph, in O(n log n) time and without listing an edge. An interval is
+    open at left(v) while its right is >= left(v), since touching intervals
+    intersect. The returned edge joins the two smallest ids of the triangle.
     """
     _check_colors(rep.n, colors)
     spans = rep.spans
-    starts = sorted(range(rep.n), key=lambda v: spans[v][0])
-    ends = sorted(range(rep.n), key=lambda v: spans[v][1])
     open_by_color: dict[int, list[int]] = {}
-    e = 0
-    for v in starts:
+    for v in rep.order:
         lo = spans[v][0]
-        # Close every interval ending strictly before lo; v itself stops this.
-        while spans[ends[e]][1] < lo:
-            u = ends[e]
-            open_by_color[colors[u]].remove(u)
-            e += 1
-        members = open_by_color.setdefault(colors[v], [])
+        # At most two intervals per color are open; drop the ended ones here.
+        members = [u for u in open_by_color.get(colors[v], ()) if spans[u][1] >= lo]
         if len(members) == 2:
             a, b, _ = sorted((*members, v))
             return (a, b)
         members.append(v)
+        open_by_color[colors[v]] = members
     return None

@@ -121,6 +121,19 @@ class TestVerify:
         # monochromatic triangle, joining its two smallest ids.
         assert report["witness"] == "0,1"
 
+    def test_triangle_witness_follows_interval_order_on_shared_left(
+        self, capsys, tmp_path
+    ):
+        # All four start at 0; in (left, right, id) order 2 and 3 come
+        # before 0, so the first triangle is {2, 3, 0}.
+        iv = tmp_path / "tie.intervals"
+        iv.write_text("intervals 4\n0 0 9\n1 0 9\n2 0 1\n3 0 1\n")
+        col = tmp_path / "c.coloring"
+        col.write_text("coloring 4 1\n0 0\n1 0\n2 0\n3 0\n")
+        code, out, _ = run(capsys, ["verify", str(iv), str(col)])
+        assert code == 2
+        assert stats(out)["witness"] == "0,2"
+
     def test_graph_file_witness_closes_first_cycle(self, capsys, tmp_path):
         from treecolor.formats import write_graph
 
@@ -182,7 +195,7 @@ class TestSolve:
         from treecolor.formats import write_graph
 
         graph_path = tmp_path / "k6.graph"
-        g, _ = load_graph(k6_file)
+        g = load_graph(k6_file)
         write_graph(graph_path, g)
         code, out, _ = run(capsys, ["solve", str(graph_path), "--k", "3"])
         assert code == 0
@@ -213,7 +226,7 @@ class TestGen:
         assert stats(out)["n"] == "16"
         kind, parts = parse_labels(labels_out)
         assert kind == "split" and "clique0" in parts
-        g, _ = load_graph(graph_out)
+        g = load_graph(graph_out)
         assert g.n == 16
 
     def test_interval_gadget(self, capsys, tmp_path):
@@ -231,7 +244,7 @@ class TestGen:
             ],
         )
         assert code == 0 and stats(out)["n"] == "14"
-        g, _ = load_graph(graph_out)
+        g = load_graph(graph_out)
         rep = parse_intervals(iv_out)
         from treecolor import derive_graph
 

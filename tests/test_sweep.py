@@ -15,6 +15,7 @@ from treecolor import (
     first_monochromatic_cycle_edge,
     first_monochromatic_triangle_edge,
     interval_edge_stats,
+    interval_order,
     verify_equitable_tree_coloring,
     verify_interval_coloring,
 )
@@ -55,6 +56,17 @@ def reps_with_colorings(draw):
     return rep, Coloring(tuple(colors), k)
 
 
+class TestIntervalOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(touching_reps())
+    def test_is_the_cached_left_right_id_sort(self, rep):
+        order = interval_order(rep)
+        assert order == tuple(
+            sorted(range(rep.n), key=lambda v: (rep.left(v), rep.right(v), v))
+        )
+        assert interval_order(rep) is order
+
+
 class TestIntervalEdgeStats:
     @settings(max_examples=100, deadline=None)
     @given(touching_reps())
@@ -82,6 +94,12 @@ class TestTriangleSweep:
             ((0, 10, 11), (1, 10, 11), (2, 10, 11), (3, 0, 1), (4, 0, 1), (5, 0, 1))
         )
         assert first_monochromatic_triangle_edge(rep, [0] * 6) == (3, 4)
+
+    def test_shared_left_is_swept_in_right_then_id_order(self):
+        # [0, 1] twice precedes [0, 9] twice, so the first triangle is
+        # {2, 3, 0}, not {0, 1, 2}.
+        rep = IntervalRep(((0, 0, 9), (1, 0, 9), (2, 0, 1), (3, 0, 1)))
+        assert first_monochromatic_triangle_edge(rep, [0] * 4) == (0, 2)
 
     @settings(max_examples=150, deadline=None)
     @given(reps_with_colorings())
