@@ -14,6 +14,8 @@ from .coloring import (
     Verdict,
     decide_proper_interval,
     exact_solve,
+    guaranteed_k,
+    proper_min_k,
     round_robin_color,
     verify_equitable_tree_coloring,
     verify_interval_coloring,
@@ -74,11 +76,13 @@ __all__ = [
     "first_monochromatic_cycle_edge",
     "first_monochromatic_triangle_edge",
     "gen_random_interval",
+    "guaranteed_k",
     "interval_edge_stats",
     "interval_order",
     "is_proper_representation",
     "max_clique_sweep",
     "packing_from_coloring",
+    "proper_min_k",
     "round_robin_color",
     "solve_bin_packing",
     "validate_layout",

@@ -10,6 +10,7 @@ the program, not in the input). Reports go to stdout as key=value lines;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,8 +20,11 @@ from . import formats
 from .coloring import (
     ConsistencyError,
     SolveTimeout,
+    Verdict,
     decide_proper_interval,
     exact_solve,
+    guaranteed_k,
+    proper_min_k,
     round_robin_color,
     verify_equitable_tree_coloring,
     verify_interval_coloring,
@@ -33,8 +37,6 @@ from .gadgets import (
 )
 from .graph import (
     IntervalRep,
-    ProperContainmentError,
-    RepresentationError,
     interval_edge_stats,
     is_proper_representation,
     max_clique_sweep,
@@ -46,9 +48,6 @@ EXIT_NEGATIVE = 2
 EXIT_TIMEOUT = 3
 EXIT_INCONSISTENT = 4
 
-GADGET_KINDS = ("split-gadget", "interval-gadget")
-RANDOM_KINDS = ("random", "random-proper")
-
 
 @dataclass
 class RunReport:
@@ -59,6 +58,13 @@ class RunReport:
     answer: str | None = None
     statistics: dict = field(default_factory=dict)
     artifacts: list[str] = field(default_factory=list)
+
+    def add_failure(self, verdict: Verdict) -> None:
+        """Name the failed clause and its witness when the verdict is not ok."""
+        if not verdict.ok:
+            self.statistics["failure"] = verdict.failure_kind
+            if verdict.witness is not None:
+                self.statistics["witness"] = verdict.witness
 
     def emit(self, fmt: str) -> None:
         if fmt == "json":
@@ -77,13 +83,7 @@ class RunReport:
             print(f"wrote={path}")
 
 
-def _threshold(max_degree: int) -> int:
-    """Smallest k for which the round-robin coloring is guaranteed to
-    verify: ceil((max_degree + 1) / 2)."""
-    return (max_degree + 2) // 2
-
-
-def cmd_color(args) -> int:
+def cmd_color(args) -> tuple[int, RunReport]:
     rep = formats.parse_intervals(args.intervals)
     coloring = round_robin_color(rep, args.k)
     verdict = verify_interval_coloring(rep, coloring)
@@ -95,22 +95,18 @@ def cmd_color(args) -> int:
             "n": rep.n,
             "m": m,
             "max_degree": delta,
-            "threshold": _threshold(delta),
+            "threshold": guaranteed_k(delta),
             "k": args.k,
             "class_sizes": coloring.class_sizes(),
             "verified": verdict.ok,
         },
         artifacts=[str(args.out)],
     )
-    if not verdict.ok:
-        report.statistics["failure"] = verdict.failure_kind
-        if verdict.witness is not None:
-            report.statistics["witness"] = verdict.witness
-    report.emit(args.format)
-    return EXIT_OK if verdict.ok else EXIT_NEGATIVE
+    report.add_failure(verdict)
+    return (EXIT_OK if verdict.ok else EXIT_NEGATIVE), report
 
 
-def cmd_decide(args) -> int:
+def cmd_decide(args) -> tuple[int, RunReport]:
     rep = formats.parse_intervals(args.intervals)
     answer, certificate = decide_proper_interval(rep, args.k)
     report = RunReport(
@@ -127,11 +123,10 @@ def cmd_decide(args) -> int:
         formats.write_coloring(args.out, certificate)
         report.statistics["class_sizes"] = certificate.class_sizes()
         report.artifacts.append(str(args.out))
-    report.emit(args.format)
-    return EXIT_OK if answer else EXIT_NEGATIVE
+    return (EXIT_OK if answer else EXIT_NEGATIVE), report
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, RunReport]:
     source = formats.parse_graph_or_intervals(args.graph)
     coloring = formats.parse_coloring(args.coloring)
     if args.k is not None and args.k != coloring.k:
@@ -157,15 +152,11 @@ def cmd_verify(args) -> int:
             "valid": verdict.ok,
         },
     )
-    if not verdict.ok:
-        report.statistics["failure"] = verdict.failure_kind
-        if verdict.witness is not None:
-            report.statistics["witness"] = verdict.witness
-    report.emit(args.format)
-    return EXIT_OK if verdict.ok else EXIT_NEGATIVE
+    report.add_failure(verdict)
+    return (EXIT_OK if verdict.ok else EXIT_NEGATIVE), report
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, RunReport]:
     g = formats.load_graph(args.graph)
     report = RunReport("solve", statistics={"n": g.n, "m": g.m, "k": args.k})
     try:
@@ -173,70 +164,53 @@ def cmd_solve(args) -> int:
     except SolveTimeout:
         report.answer = "TIMEOUT"
         report.statistics["timeout"] = args.timeout
-        report.emit(args.format)
-        return EXIT_TIMEOUT
+        return EXIT_TIMEOUT, report
     if coloring is None:
         report.answer = "NO"
-        report.emit(args.format)
-        return EXIT_NEGATIVE
+        return EXIT_NEGATIVE, report
     report.answer = "YES"
     report.statistics["class_sizes"] = coloring.class_sizes()
     if args.out is not None:
         formats.write_coloring(args.out, coloring)
         report.artifacts.append(str(args.out))
-    report.emit(args.format)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def cmd_gen(args) -> int:
-    if args.kind in GADGET_KINDS:
-        # Every flag is checked before anything is built or written.
-        if args.input is None:
-            raise ValueError(f"gen {args.kind} needs a bin-packing instance file")
-        if args.kind == "interval-gadget" and args.intervals_out is None:
-            raise ValueError("gen interval-gadget needs --intervals-out")
-        if args.labels_out is None:
-            raise ValueError(f"gen {args.kind} needs --labels-out")
-        inst = formats.parse_binpacking(args.input)
-        build = build_split_gadget if args.kind == "split-gadget" else build_interval_gadget
-        try:
-            layout = build(inst)
-            validate_layout(layout)
-        except ConsistencyError as exc:
-            print(f"error: gadget validation failed: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        report = RunReport(
-            "gen",
-            statistics={
-                "kind": args.kind,
-                "items": inst.n,
-                "k": inst.bins,
-                "capacity": inst.capacity,
-                "n": layout.graph.n,
-                "m": layout.graph.m,
-            },
-        )
-        formats.write_graph(args.out, layout.graph)
-        report.artifacts.append(str(args.out))
-        if args.kind == "interval-gadget":
-            formats.write_intervals(args.intervals_out, layout.rep)
-            report.artifacts.append(str(args.intervals_out))
-        formats.write_labels(args.labels_out, layout)
-        report.artifacts.append(str(args.labels_out))
-        report.emit(args.format)
-        return EXIT_OK
+def cmd_gen_gadget(args) -> tuple[int, RunReport]:
+    inst = formats.parse_binpacking(args.input)
+    interval = args.kind == "interval-gadget"
+    try:
+        layout = (build_interval_gadget if interval else build_split_gadget)(inst)
+        validate_layout(layout)
+    except ConsistencyError as exc:
+        raise ValueError(f"gadget validation failed: {exc}") from exc
+    report = RunReport(
+        "gen",
+        statistics={
+            "kind": args.kind,
+            "items": inst.n,
+            "k": inst.bins,
+            "capacity": inst.capacity,
+            "n": layout.graph.n,
+            "m": layout.graph.m,
+        },
+    )
+    formats.write_graph(args.out, layout.graph)
+    report.artifacts.append(str(args.out))
+    if interval:
+        formats.write_intervals(args.intervals_out, layout.rep)
+        report.artifacts.append(str(args.intervals_out))
+    formats.write_labels(args.labels_out, layout)
+    report.artifacts.append(str(args.labels_out))
+    return EXIT_OK, report
 
-    if args.input is not None:
-        raise ValueError(f"gen {args.kind} takes flags, not an input file")
-    if args.n is None:
-        raise ValueError(f"gen {args.kind} needs --n")
-    if args.max_coord is None:
-        raise ValueError(f"gen {args.kind} needs --max-coord")
+
+def cmd_gen_random(args) -> tuple[int, RunReport]:
     rep = gen_random_interval(
         args.n, args.max_coord, args.seed, proper=args.kind == "random-proper"
     )
     formats.write_intervals(args.out, rep)
-    report = RunReport(
+    return EXIT_OK, RunReport(
         "gen",
         statistics={
             "kind": args.kind,
@@ -246,11 +220,9 @@ def cmd_gen(args) -> int:
         },
         artifacts=[str(args.out)],
     )
-    report.emit(args.format)
-    return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, RunReport]:
     rep = formats.parse_intervals(args.intervals)
     omega = max_clique_sweep(rep)
     proper = is_proper_representation(rep)
@@ -263,14 +235,13 @@ def cmd_analyze(args) -> int:
             "max_degree": delta,
             "omega": omega,
             "proper": proper,
-            "threshold": _threshold(delta),
+            "threshold": guaranteed_k(delta),
         },
     )
     if proper:
-        # For proper representations, feasibility is exactly omega <= 2k.
-        report.statistics["min_k"] = max(1, (omega + 1) // 2)
-    report.emit(args.format)
-    return EXIT_OK
+        # Only for proper representations is omega <= 2k the exact criterion.
+        report.statistics["min_k"] = proper_min_k(omega)
+    return EXIT_OK, report
 
 
 class _UsageError(Exception):
@@ -283,20 +254,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
 def _timeout_seconds(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError("must be a finite number >= 0")
-    return value
+    try:
+        if math.isfinite(value := float(text)) and value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: it keeps no state between parses."""
     parser = _Parser(prog="treecolor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -332,17 +309,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("gen", help="generate gadgets or random interval files")
-    p.add_argument("kind", choices=GADGET_KINDS + RANDOM_KINDS)
-    p.add_argument("input", nargs="?", help="bin-packing file (gadget kinds only)")
-    p.add_argument("--out", required=True, help="graph file (gadgets) or intervals file (random)")
-    p.add_argument("--labels-out", help="part-labels file (gadget kinds)")
-    p.add_argument("--intervals-out", help="intervals file (interval-gadget)")
-    p.add_argument("--n", type=int, help="vertex count (random kinds)")
-    p.add_argument("--max-coord", type=int, help="largest coordinate (random kinds)")
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=cmd_gen)
+    gen = sub.add_parser("gen", help="generate gadgets or random interval files")
+    kinds = gen.add_subparsers(dest="kind", required=True)
+    for kind in ("split-gadget", "interval-gadget"):
+        p = kinds.add_parser(kind, help=f"{kind} of a bin-packing instance")
+        p.add_argument("input", help="bin-packing file")
+        p.add_argument("--out", required=True, help="graph file")
+        if kind == "interval-gadget":
+            p.add_argument("--intervals-out", required=True, help="intervals file")
+        p.add_argument("--labels-out", required=True, help="part-labels file")
+        add_common(p)
+        p.set_defaults(func=cmd_gen_gadget)
+    for kind in ("random", "random-proper"):
+        p = kinds.add_parser(kind, help=f"seeded {kind} intervals file")
+        p.add_argument("--out", required=True, help="intervals file")
+        p.add_argument("--n", type=int, required=True, help="vertex count")
+        p.add_argument("--max-coord", type=int, required=True, help="largest coordinate")
+        p.add_argument("--seed", type=int, default=0)
+        add_common(p)
+        p.set_defaults(func=cmd_gen_random)
 
     p = sub.add_parser("analyze", help="report statistics for an intervals file")
     p.add_argument("intervals")
@@ -353,21 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        return args.func(args)
-    except (
-        formats.ParseError,
-        RepresentationError,
-        ProperContainmentError,
-        ValueError,
-        OSError,
-    ) as exc:
+        code, report = args.func(args)
+        report.emit(args.format)
+        return code
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except ConsistencyError as exc:

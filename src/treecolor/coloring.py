@@ -9,6 +9,7 @@ used as the ground-truth oracle.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -49,7 +50,7 @@ class Coloring:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        object.__setattr__(self, "colors", tuple(map(operator.index, self.colors)))
         if self.k < 1:
             raise ColoringError(None, "k must be >= 1")
         for v, c in enumerate(self.colors):
@@ -126,11 +127,23 @@ def verify_interval_coloring(rep: IntervalRep, c: Coloring) -> Verdict:
     )
 
 
+def guaranteed_k(max_degree: int) -> int:
+    """Smallest k for which the round-robin coloring is guaranteed to
+    verify: ceil((max_degree + 1) / 2)."""
+    return (max_degree + 2) // 2
+
+
+def proper_min_k(omega: int) -> int:
+    """Smallest k >= 1 with omega <= 2k: on a proper representation with
+    clique number omega, the fewest colors of an equitable tree-coloring."""
+    return max(1, (omega + 1) // 2)
+
+
 def round_robin_color(rep: IntervalRep, k: int) -> Coloring:
     """Color position p of the interval order with p mod k.
 
     The result is always equitable, and it is guaranteed to pass the full
-    verifier whenever k >= ceil((max_degree + 1) / 2). Below that bound the
+    verifier whenever k >= guaranteed_k(max_degree). Below that bound the
     coloring is still returned so callers can inspect where it fails.
     """
     if k < 1:
@@ -157,7 +170,7 @@ def decide_proper_interval(
         raise ProperContainmentError(*pair)
     coloring = round_robin_color(rep, k)
     cycle_free = first_monochromatic_triangle_edge(rep, coloring.colors) is None
-    clique_small = max_clique_sweep(rep) <= 2 * k
+    clique_small = k >= proper_min_k(max_clique_sweep(rep))
     if cycle_free != clique_small:
         raise ConsistencyError(
             f"cycle scan says {cycle_free} but clique bound says {clique_small}"

@@ -14,6 +14,7 @@ witness mappings in both directions:
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -34,7 +35,7 @@ class BinPackingInstance:
     capacity: int
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(int(a) for a in self.items))
+        object.__setattr__(self, "items", tuple(map(operator.index, self.items)))
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
         if self.capacity < 1:

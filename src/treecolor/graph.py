@@ -6,6 +6,7 @@ integer endpoints, so two intervals that merely touch in a point intersect.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,7 +49,7 @@ class IntervalRep:
         spans: list[tuple[int, int] | None] = [None] * n
         entries = []
         for position, (v, lo, hi) in enumerate(self.entries):
-            v, lo, hi = int(v), int(lo), int(hi)
+            v, lo, hi = operator.index(v), operator.index(lo), operator.index(hi)
             if not 0 <= v < n:
                 raise RepresentationError(
                     position, f"vertex id {v} outside 0..{n - 1}, so an id is missing"

@@ -300,6 +300,46 @@ class TestGen:
         code, _, err = run(capsys, ["gen", "random", "--out", str(tmp_path / "r")])
         assert code == 1 and "--n" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # A flag of another kind.
+            (["split-gadget", "in", "--out", "g", "--labels-out", "l", "--seed", "3"],
+             "unrecognized arguments: --seed 3"),
+            (["interval-gadget", "in", "--out", "g", "--intervals-out", "i",
+              "--labels-out", "l", "--n", "3"], "unrecognized arguments: --n 3"),
+            (["random", "--n", "3", "--max-coord", "9", "--out", "r", "--labels-out", "x"],
+             "unrecognized arguments: --labels-out x"),
+            (["random-proper", "--n", "3", "--max-coord", "9", "--out", "r",
+              "--intervals-out", "i"], "unrecognized arguments: --intervals-out i"),
+            # An input file given to a random kind.
+            (["random", "in", "--n", "3", "--max-coord", "9", "--out", "r"],
+             "unrecognized arguments: in"),
+            # Each missing required flag or input.
+            (["split-gadget", "--out", "g", "--labels-out", "l"], "required: input"),
+            (["split-gadget", "in", "--labels-out", "l"], "required: --out"),
+            (["split-gadget", "in", "--out", "g"], "required: --labels-out"),
+            (["interval-gadget", "--out", "g", "--intervals-out", "i", "--labels-out", "l"],
+             "required: input"),
+            (["interval-gadget", "in", "--intervals-out", "i", "--labels-out", "l"],
+             "required: --out"),
+            (["interval-gadget", "in", "--out", "g", "--labels-out", "l"],
+             "required: --intervals-out"),
+            (["interval-gadget", "in", "--out", "g", "--intervals-out", "i"],
+             "required: --labels-out"),
+            (["random", "--n", "3", "--max-coord", "9"], "required: --out"),
+            (["random-proper", "--max-coord", "9", "--out", "r"], "required: --n"),
+            (["random-proper", "--n", "3", "--out", "r"], "required: --max-coord"),
+        ],
+    )
+    def test_usage_error_writes_nothing(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in").write_text("binpacking 2 2 1\n1\n1\n")
+        code, out, err = run(capsys, ["gen"] + argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
 
 class TestAnalyze:
     def test_complete_graph(self, capsys, k4_file):
@@ -387,6 +427,21 @@ class TestHarness:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, ["frobnicate"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["color", "x.intervals", "--k", "3.0", "--out", "o"],
+            ["decide", "x.intervals", "--k", "two"],
+            ["solve", "x.graph", "--k", "1", "--timeout", "abc"],
+        ],
+    )
+    def test_bad_flag_value_names_no_converter(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --") and err.count("\n") == 1
+        assert "expected" in err
+        assert "_positive_int" not in err and "_timeout_seconds" not in err
 
     def test_json_format(self, capsys, tmp_path, k4_file):
         code, out, _ = run(

@@ -13,7 +13,9 @@ from treecolor import (
     exact_solve,
     first_monochromatic_cycle_edge,
     gen_random_interval,
+    guaranteed_k,
     max_clique_sweep,
+    proper_min_k,
     round_robin_color,
     verify_equitable_tree_coloring,
 )
@@ -30,6 +32,10 @@ class TestColoring:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             Coloring((), 0)
+
+    def test_rejects_non_integer_colors(self):
+        with pytest.raises(TypeError):
+            Coloring((0, 1.0), 2)
 
     def test_class_bookkeeping(self):
         c = Coloring((0, 1, 0, 2), 3)
@@ -67,6 +73,18 @@ class TestVerifier:
     def test_empty_graph(self):
         g = Graph.from_edges(0, [])
         assert verify_equitable_tree_coloring(g, Coloring((), 3)).ok
+
+
+class TestKFormulas:
+    """Each formula against its definition written out as a search."""
+
+    def test_guaranteed_k_is_least_k_with_2k_at_least_degree_plus_one(self):
+        for delta in range(61):
+            assert guaranteed_k(delta) == next(k for k in range(61) if 2 * k >= delta + 1)
+
+    def test_proper_min_k_is_least_positive_k_with_2k_at_least_omega(self):
+        for omega in range(61):
+            assert proper_min_k(omega) == next(k for k in range(1, 62) if 2 * k >= omega)
 
 
 class TestRoundRobin:

@@ -59,6 +59,10 @@ class TestBinPackingInstance:
         with pytest.raises(ValueError):
             BinPackingInstance((0, 2), 1, 2)
 
+    def test_rejects_non_integer_items(self):
+        with pytest.raises(TypeError):
+            BinPackingInstance((1.5, 2.7), 1, 3)
+
     def test_rejects_bad_bins_or_capacity(self):
         with pytest.raises(ValueError):
             BinPackingInstance((1,), 0, 1)

@@ -62,6 +62,10 @@ class TestIntervalRep:
         with pytest.raises(RepresentationError, match="missing"):
             IntervalRep(((0, 0, 1), (2, 2, 3)))
 
+    def test_rejects_non_integer_values(self):
+        with pytest.raises(TypeError):
+            IntervalRep(((0, 0.5, 1.7),))
+
     def test_spans_indexed_by_id(self):
         rep = IntervalRep(((1, 4, 5), (0, 0, 2)))
         assert rep.spans == ((0, 2), (4, 5))
