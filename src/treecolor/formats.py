@@ -130,9 +130,7 @@ def _intervals(table: _Table) -> IntervalRep:
 
 def write_intervals(path, rep: IntervalRep) -> None:
     out = [f"intervals {rep.n}"]
-    for v in range(rep.n):
-        lo, hi = rep.spans[v]
-        out.append(f"{v} {lo} {hi}")
+    out.extend(f"{v} {lo} {hi}" for v, (lo, hi) in enumerate(zip(rep.lefts, rep.rights)))
     Path(path).write_text("\n".join(out) + "\n")
 
 

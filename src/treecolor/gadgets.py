@@ -173,7 +173,7 @@ def build_interval_gadget(inst: BinPackingInstance) -> GadgetLayout:
     width = 2 * k - 1
     parts = []
     edges: list[tuple[int, int]] = []
-    spans: list[tuple[int, int, int]] = []
+    entries: list[tuple[int, int, int]] = []
     next_id = 0
     base = 0
     for a in inst.items:
@@ -189,19 +189,19 @@ def build_interval_gadget(inst: BinPackingInstance) -> GadgetLayout:
             cliques.extend((first, second))
             hubs.append(hub)
             for u in first:
-                spans.append((u, base + 60 * i - 50, base + 60 * i - 40))
+                entries.append((u, base + 60 * i - 50, base + 60 * i - 40))
             for u in second:
-                spans.append((u, base + 60 * i - 30, base + 60 * i - 20))
+                entries.append((u, base + 60 * i - 30, base + 60 * i - 20))
             if i < a:
-                spans.append((hub, base + 60 * i - 45, base + 60 * i + 12))
+                entries.append((hub, base + 60 * i - 45, base + 60 * i + 12))
             else:
-                spans.append((hub, base + 60 * i - 45, base + 60 * i - 25))
+                entries.append((hub, base + 60 * i - 45, base + 60 * i - 25))
         part = ChainPart(tuple(cliques), tuple(hubs))
         edges.extend(_chain_part_edges(part))
         parts.append(part)
         base += 60 * a + 60
     graph = Graph.from_edges(next_id, edges)
-    return GadgetLayout(INTERVAL, inst, graph, tuple(parts), IntervalRep(tuple(spans)))
+    return GadgetLayout(INTERVAL, inst, graph, tuple(parts), IntervalRep(tuple(entries)))
 
 
 def _chain_part_edges(part: ChainPart) -> Iterator[tuple[int, int]]:

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -36,47 +37,56 @@ class ProperContainmentError(ValueError):
 
 @dataclass(frozen=True)
 class IntervalRep:
-    """A family of named closed integer intervals, one per vertex id 0..n-1."""
+    """A family of named closed integer intervals, one per vertex id 0..n-1,
+    given as (id, left, right) entries in any order and stored by id in the
+    columns `lefts` and `rights`; reps of the same intervals are equal."""
 
-    entries: tuple[tuple[int, int, int], ...]
-    # (left, right) endpoints indexed by vertex id, built by __post_init__.
-    spans: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    entries: InitVar[Sequence[tuple[int, int, int]]]
+    lefts: tuple[int, ...] = field(init=False)
+    rights: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, entries):
         # n entries with distinct ids in 0..n-1 use every id exactly once;
-        # a filled slot of spans is a duplicate id.
-        n = len(self.entries)
-        spans: list[tuple[int, int] | None] = [None] * n
-        entries = []
-        for position, (v, lo, hi) in enumerate(self.entries):
+        # a filled slot of lefts is a duplicate id.
+        n = len(entries)
+        lefts: list[int | None] = [None] * n
+        rights = [0] * n
+        for position, (v, lo, hi) in enumerate(entries):
             v, lo, hi = operator.index(v), operator.index(lo), operator.index(hi)
             if not 0 <= v < n:
                 raise RepresentationError(
                     position, f"vertex id {v} outside 0..{n - 1}, so an id is missing"
                 )
-            if spans[v] is not None:
+            if lefts[v] is not None:
                 raise RepresentationError(position, f"duplicate vertex id {v}")
             if lo > hi:
                 raise RepresentationError(position, f"vertex {v}: left {lo} > right {hi}")
-            spans[v] = (lo, hi)
-            entries.append((v, lo, hi))
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "spans", tuple(spans))
+            lefts[v] = lo
+            rights[v] = hi
+        object.__setattr__(self, "lefts", tuple(lefts))
+        object.__setattr__(self, "rights", tuple(rights))
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.lefts)
 
     @cached_property
     def order(self) -> tuple[int, ...]:
         """Vertices sorted by (left, right, id), the order every sweep reads."""
-        return tuple(v for _lo, _hi, v in sorted((lo, hi, v) for v, lo, hi in self.entries))
+        # Sorts are stable and range(n) is in id order, so sorting by right
+        # and then by left leaves ties in (right, id) order.
+        order = sorted(range(self.n), key=self.rights.__getitem__)
+        order.sort(key=self.lefts.__getitem__)
+        return tuple(order)
 
-    def left(self, v: int) -> int:
-        return self.spans[v][0]
+    @cached_property
+    def ordered_lefts(self) -> tuple[int, ...]:
+        """The lefts in interval order, the sequence the sweeps bisect."""
+        return tuple(map(self.lefts.__getitem__, self.order))
 
-    def right(self, v: int) -> int:
-        return self.spans[v][1]
+    @cached_property
+    def sorted_rights(self) -> tuple[int, ...]:
+        return tuple(sorted(self.rights))
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        neighbors: list[set[int]] = [set() for _ in range(n)]
+        # Sets only for vertices on an edge; isolated ones share the empty tuple.
+        neighbors: defaultdict[int, set[int]] = defaultdict(set)
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -95,7 +106,10 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             neighbors[u].add(v)
             neighbors[v].add(u)
-        return cls(tuple(tuple(sorted(s)) for s in neighbors))
+        adj: list[tuple[int, ...]] = [()] * n
+        for v, s in neighbors.items():
+            adj[v] = tuple(sorted(s))
+        return cls(tuple(adj))
 
     @property
     def n(self) -> int:
@@ -128,32 +142,25 @@ class Graph:
 def derive_graph(rep: IntervalRep) -> Graph:
     """Intersection graph of the intervals: u ~ v iff the closed intervals
     share at least one point, i.e. max(lefts) <= min(rights)."""
-    spans, order = rep.spans, rep.order
-    lefts = [spans[v][0] for v in order]
+    order, lefts, rights = rep.order, rep.ordered_lefts, rep.rights
     neighbors: list[list[int]] = [[] for _ in range(rep.n)]
     for p, v in enumerate(order):
         # Everything after p whose left endpoint is still <= right(v) meets v.
-        later = order[p + 1 : bisect_right(lefts, spans[v][1])]
+        later = order[p + 1 : bisect_right(lefts, rights[v])]
         neighbors[v].extend(later)
         for w in later:
             neighbors[w].append(v)
     return Graph(tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
 
 
-def _sorted_endpoints(rep: IntervalRep) -> tuple[list[int], list[int]]:
-    """The lefts in interval order, and the rights sorted."""
-    spans = rep.spans
-    return [spans[v][0] for v in rep.order], sorted(hi for _lo, hi in spans)
-
-
 def interval_edge_stats(rep: IntervalRep) -> tuple[int, int]:
     """(edge count, max degree) of the intersection graph without listing
     an edge: v meets every interval whose left is <= right(v), except those
     whose right is < left(v), and except itself."""
-    lefts, rights = _sorted_endpoints(rep)
+    lefts, rights = rep.ordered_lefts, rep.sorted_rights
     degrees = [
         bisect_right(lefts, hi) - bisect_left(rights, lo) - 1
-        for _v, lo, hi in rep.entries
+        for lo, hi in zip(rep.lefts, rep.rights)
     ]
     return sum(degrees) // 2, max(degrees, default=0)
 
@@ -170,18 +177,17 @@ def interval_order(rep: IntervalRep) -> tuple[int, ...]:
 def find_proper_containment(rep: IntervalRep) -> tuple[int, int] | None:
     """Return (outer, inner) where outer's interval properly contains inner's,
     or None. Identical intervals do not count as containment."""
-    spans, order = rep.spans, rep.order
-    lefts = [spans[v][0] for v in order]
+    order, lefts, rights = rep.order, rep.ordered_lefts, rep.rights
     reach = None  # (right, vertex) reaching furthest among strictly smaller lefts
     p = 0
     while p < len(order):
         # order[p:stop] share one left; first has the smallest right.
         stop = bisect_right(lefts, lefts[p], p)
         first, last = order[p], order[stop - 1]
-        hi = spans[first][1]
+        hi = rights[first]
         if reach is not None and hi <= reach[0]:
             return (reach[1], first)
-        if spans[last][1] > hi:
+        if rights[last] > hi:
             return (last, first)
         reach = (hi, first)
         p = stop
@@ -201,9 +207,9 @@ def max_clique_sweep(rep: IntervalRep) -> int:
     rights strictly before that left, since closed intervals touching in a
     point intersect.
     """
-    lefts, rights = _sorted_endpoints(rep)
+    rights = rep.sorted_rights
     best = ended = 0
-    for seen, lo in enumerate(lefts, start=1):
+    for seen, lo in enumerate(rep.ordered_lefts, start=1):
         while rights[ended] < lo:
             ended += 1
         best = max(best, seen - ended)
@@ -260,12 +266,12 @@ def first_monochromatic_triangle_edge(
     intersect. The returned edge joins the two smallest ids of the triangle.
     """
     _check_colors(rep.n, colors)
-    spans = rep.spans
+    lefts, rights = rep.lefts, rep.rights
     open_by_color: dict[int, list[int]] = {}
     for v in rep.order:
-        lo = spans[v][0]
+        lo = lefts[v]
         # At most two intervals per color are open; drop the ended ones here.
-        members = [u for u in open_by_color.get(colors[v], ()) if spans[u][1] >= lo]
+        members = [u for u in open_by_color.get(colors[v], ()) if rights[u] >= lo]
         if len(members) == 2:
             a, b, _ = sorted((*members, v))
             return (a, b)

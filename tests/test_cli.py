@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from treecolor.cli import main
 from treecolor.formats import (
     load_graph,
     parse_coloring,
+    parse_graph,
     parse_intervals,
     parse_labels,
     write_intervals,
@@ -163,6 +165,23 @@ class TestVerify:
         col.write_text("coloring 3 2\n0 0\n1 1\n2 0\n")
         code, _, err = run(capsys, ["verify", k4_file, str(col)])
         assert code == 1 and "error" in err
+
+    def test_large_header_n_parses_in_little_memory(self, capsys, tmp_path):
+        # A 16-byte file whose header counts a million isolated vertices.
+        graph = tmp_path / "big.graph"
+        graph.write_text("graph 1000000 0\n")
+        col = tmp_path / "c.coloring"
+        col.write_text("coloring 2 1\n0 0\n1 0\n")
+        tracemalloc.start()
+        try:
+            assert parse_graph(graph).n == 1_000_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+        code, out, err = run(capsys, ["verify", str(graph), str(col)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: coloring file covers 2 vertices")
 
     def test_k_cross_check(self, capsys, tmp_path, k4_file):
         col = tmp_path / "c.coloring"

@@ -2,8 +2,8 @@
 
 Any text gives a value or a ParseError; a file with one defective row is
 reported on that row's line, whichever of the reader or the type owns the
-broken rule; and arbitrary bytes given to the CLI as an intervals file end
-in exit 1 with an `error:` line.
+broken rule; and arbitrary bytes given to the CLI as an intervals file, or
+as the first file of `verify`, end in exit 1 with an `error:` line.
 """
 
 import contextlib
@@ -134,7 +134,7 @@ def test_single_bad_row_is_reported_on_its_line(case, workdir):
     assert excinfo.value.line == line, text
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["color", "--k", "2"]])
+@pytest.mark.parametrize("command", [["analyze"], ["color", "--k", "2"], ["verify"]])
 @settings(max_examples=100)
 @given(data=st.binary(max_size=300))
 def test_cli_rejects_arbitrary_bytes(command, data, workdir):
@@ -144,6 +144,12 @@ def test_cli_rejects_arbitrary_bytes(command, data, workdir):
     argv = [command[0], str(path), *command[1:]]
     if command[0] == "color":
         argv += ["--out", str(out)]
+    if command[0] == "verify":
+        # The fuzzed file is read as a graph or an intervals file and checked
+        # against a valid 2-vertex coloring.
+        coloring = workdir / "two.coloring"
+        coloring.write_text("coloring 2 2\n0 0\n1 1\n")
+        argv.append(str(coloring))
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)

@@ -33,7 +33,7 @@ class TestRoundTrips:
         path = tmp_path / "a.intervals"
         write_intervals(path, rep)
         again = parse_intervals(path)
-        assert again.spans == rep.spans
+        assert (again.lefts, again.rights) == (rep.lefts, rep.rights)
         twice = tmp_path / "b.intervals"
         write_intervals(twice, again)
         assert path.read_bytes() == twice.read_bytes()
@@ -89,7 +89,8 @@ class TestFraming:
         path.write_text(
             "# a comment\n\nintervals 2   # trailing comment\n0 0 1\n\n1 1 2\n"
         )
-        assert parse_intervals(path).spans == ((0, 1), (1, 2))
+        rep = parse_intervals(path)
+        assert (rep.lefts, rep.rights) == ((0, 1), (1, 2))
 
     def test_detect_kind(self, tmp_path):
         path = tmp_path / "x"

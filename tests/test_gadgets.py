@@ -210,7 +210,9 @@ class TestValidateLayoutRejects:
 
     def test_wrong_rep_span(self):
         layout = build_interval_gadget(BinPackingInstance((2, 1), 3, 1))
-        entries = [(0, -100, -90)] + [e for e in layout.rep.entries if e[0] != 0]
+        rep = layout.rep
+        entries = [(0, -100, -90)]
+        entries += [(v, rep.lefts[v], rep.rights[v]) for v in range(1, rep.n)]
         corrupted = replace(layout, rep=IntervalRep(tuple(entries)))
         with pytest.raises(ConsistencyError, match="rep-derived adjacency"):
             validate_layout(corrupted)

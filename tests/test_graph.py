@@ -68,8 +68,8 @@ class TestIntervalRep:
 
     def test_spans_indexed_by_id(self):
         rep = IntervalRep(((1, 4, 5), (0, 0, 2)))
-        assert rep.spans == ((0, 2), (4, 5))
-        assert rep.left(1) == 4 and rep.right(1) == 5
+        assert rep.lefts == (0, 4) and rep.rights == (2, 5)
+        assert rep.lefts[1] == 4 and rep.rights[1] == 5
 
 
 class TestDeriveGraph:
@@ -91,8 +91,8 @@ class TestDeriveGraph:
         g = derive_graph(rep)
         for u in range(rep.n):
             for v in range(u + 1, rep.n):
-                lu, ru = rep.spans[u]
-                lv, rv = rep.spans[v]
+                lu, ru = rep.lefts[u], rep.rights[u]
+                lv, rv = rep.lefts[v], rep.rights[v]
                 assert g.has_edge(u, v) == (max(lu, lv) <= min(ru, rv))
 
     @given(interval_reps())
@@ -166,8 +166,8 @@ class TestProperRepresentation:
     @given(interval_reps())
     def test_agrees_with_quadratic_scan(self, rep):
         def contains(outer, inner):
-            lo_o, hi_o = rep.spans[outer]
-            lo_i, hi_i = rep.spans[inner]
+            lo_o, hi_o = rep.lefts[outer], rep.rights[outer]
+            lo_i, hi_i = rep.lefts[inner], rep.rights[inner]
             return (
                 lo_o <= lo_i
                 and hi_i <= hi_o

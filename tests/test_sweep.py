@@ -2,8 +2,12 @@
 
 Every function here answers a question about the intersection graph without
 building it; each property compares it with the same question asked of
-`derive_graph(rep)`.
+`derive_graph(rep)`. The representation's endpoint columns and the sorted
+sequences it caches for the sweeps are checked here too.
 """
+
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,15 +23,16 @@ from treecolor import (
     verify_equitable_tree_coloring,
     verify_interval_coloring,
 )
+from treecolor.formats import parse_intervals, write_intervals
 
 from oracles import equal_intervals_rep, path_rep
 
 
 @st.composite
-def touching_reps(draw, max_n=40):
-    """Representations on a small coordinate range, so that intervals often
-    touch in one point, with some intervals repeated exactly and the ids and
-    the row order both shuffled."""
+def touching_entries(draw, max_n=40):
+    """(id, left, right) entries on a small coordinate range, so that
+    intervals often touch in one point, with some intervals repeated exactly
+    and the ids and the row order both shuffled."""
     n = draw(st.integers(0, max_n))
     max_coord = draw(st.integers(0, 2 * n + 1))
     spans = []
@@ -40,7 +45,11 @@ def touching_reps(draw, max_n=40):
             spans.append((min(a, b), max(a, b)))
     ids = draw(st.permutations(range(n)))
     entries = [(v, lo, hi) for v, (lo, hi) in zip(ids, spans)]
-    return IntervalRep(tuple(draw(st.permutations(entries))))
+    return tuple(draw(st.permutations(entries)))
+
+
+def touching_reps(max_n=40):
+    return touching_entries(max_n).map(IntervalRep)
 
 
 @st.composite
@@ -62,9 +71,29 @@ class TestIntervalOrder:
     def test_is_the_cached_left_right_id_sort(self, rep):
         order = interval_order(rep)
         assert order == tuple(
-            sorted(range(rep.n), key=lambda v: (rep.left(v), rep.right(v), v))
+            sorted(range(rep.n), key=lambda v: (rep.lefts[v], rep.rights[v], v))
         )
         assert interval_order(rep) is order
+        lefts, rights = rep.ordered_lefts, rep.sorted_rights
+        assert list(lefts) == [rep.lefts[v] for v in order] == sorted(lefts)
+        assert list(rights) == sorted(rep.rights)
+        assert rep.ordered_lefts is lefts and rep.sorted_rights is rights
+
+
+class TestColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_hold_the_entries_in_any_order(self, data):
+        entries = data.draw(touching_entries())
+        rep = IntervalRep(entries)
+        for v, lo, hi in entries:
+            assert (rep.lefts[v], rep.rights[v]) == (lo, hi)
+        shuffled = IntervalRep(tuple(data.draw(st.permutations(entries))))
+        assert shuffled == rep and hash(shuffled) == hash(rep)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rep.intervals"
+            write_intervals(path, rep)
+            assert parse_intervals(path) == rep
 
 
 class TestIntervalEdgeStats:
