@@ -350,6 +350,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except MemoryError:
+        print("error: ran out of memory", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except ConsistencyError as exc:
         print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -10,16 +10,16 @@ line is a header naming the format, and all ids and colors are 0-based.
     binpacking <n> <k> <B>  then n lines  <item-size>
     labels <kind>        then lines    <part-name> <vertex ids...>
 
-The four counted formats share one reader for the framing. Beyond it, a
-parser checks only the rules that exist in files alone (a graph row has
-u < v and appears once; a coloring file lists each vertex once); the types
-check every other value, and their errors are reported on the row's line.
+A counted file is read in one pass: each row goes, as it is read, to the
+parser or the type that owns its rules. A parser checks only the rules that
+exist in files alone (a graph row has u < v and appears once; a coloring
+file lists each vertex once); the types check every other value.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NoReturn
 
 from .coloring import Coloring, ColoringError
 from .gadgets import INTERVAL, SPLIT, BinPackingInstance, GadgetLayout
@@ -34,14 +34,12 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-def _read_lines(path) -> list[tuple[int, list[str]]]:
-    """(line number, tokens) of every line that holds data."""
-    lines = []
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+def _data_lines(lines: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each of lines that holds data, one at a time."""
+    for line_no, raw in enumerate(lines, start=1):
         tokens = raw.partition("#")[0].split()
         if tokens:
-            lines.append((line_no, tokens))
-    return lines
+            yield line_no, tokens
 
 
 def _int(line_no: int, token: str) -> int:
@@ -70,142 +68,144 @@ _LAYOUTS = {
 }
 
 
-class _Table(NamedTuple):
-    kind: str
-    header_no: int
-    header: tuple[int, ...]
-    line_nos: list[int]
-    rows: list[tuple[int, ...]]
+class _Rows:
+    """The header and, read once, the rows (tuples of ints) of a counted file
+    whose header names one of kinds. `line` is the line last read, where a
+    consumer reports a row it rejects; `len` is the count, at most the lines left."""
+
+    def __init__(self, path, *kinds: str):
+        expected = " or ".join(f"'{kind}'" for kind in kinds)
+        lines = Path(path).read_text().splitlines()
+        self._data = _data_lines(lines)
+        self.line, tokens = next(self._data, (1, None))
+        if tokens is None:
+            raise ParseError(1, f"empty file, expected a {expected} header")
+        self.header_line = self.line
+        self.kind = tokens[0]
+        if self.kind not in kinds:
+            raise ParseError(self.line, f"expected a {expected} header, found {self.kind!r}")
+        fields, counted, self._row_fields = _LAYOUTS[self.kind]
+        if len(tokens) != 1 + len(fields):
+            usage = " ".join(f"<{name}>" for name in fields)
+            raise ParseError(self.line, f"the header is '{self.kind} {usage}'")
+        self.header = _ints(self.line, tokens[1:])
+        for i in sorted({0, counted}):
+            if self.header[i] < 0:
+                raise ParseError(self.line, f"header count {fields[i]} must be >= 0")
+        self.count = self.header[counted]
+        if self.count > len(lines) - self.line:
+            self._short(0)  # before any consumer sizes itself by the count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        rows = 0
+        for rows, (self.line, tokens) in enumerate(self._data, start=1):
+            if rows > self.count:
+                raise ParseError(self.line, f"extra line, the header counts {self.count} rows")
+            if len(tokens) != len(self._row_fields):
+                usage = " ".join(f"<{name}>" for name in self._row_fields)
+                raise ParseError(self.line, f"{self.kind} rows are '{usage}'")
+            yield _ints(self.line, tokens)
+        if rows < self.count:
+            self._short(rows)
+
+    def _short(self, rows: int) -> NoReturn:
+        for self.line, _tokens in self._data:
+            rows += 1
+        raise ParseError(self.line, f"file ends after {rows} of {self.count} rows")
 
 
-def _read(path, *kinds: str) -> _Table:
-    """The header and the rows of a counted file whose header names one of
-    kinds, with every token an integer and exactly as many rows, each of
-    its format's width, as the header counts."""
-    expected = " or ".join(f"'{kind}'" for kind in kinds)
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(1, f"empty file, expected a {expected} header")
-    header_no, tokens = lines[0]
-    kind = tokens[0]
-    if kind not in kinds:
-        raise ParseError(header_no, f"expected a {expected} header, found {kind!r}")
-    fields, counted, row_fields = _LAYOUTS[kind]
-    if len(tokens) != 1 + len(fields):
-        usage = " ".join(f"<{name}>" for name in fields)
-        raise ParseError(header_no, f"the header is '{kind} {usage}'")
-    header = _ints(header_no, tokens[1:])
-    for i in sorted({0, counted}):
-        if header[i] < 0:
-            raise ParseError(header_no, f"header count {fields[i]} must be >= 0")
-    body = lines[1:]
-    count = header[counted]
-    if len(body) > count:
-        raise ParseError(body[count][0], f"extra line, the header counts {count} rows")
-    if len(body) < count:
-        last = body[-1][0] if body else header_no
-        raise ParseError(last, f"file ends after {len(body)} of {count} rows")
-    width = len(row_fields)
-    line_nos = []
-    rows = []
-    for line_no, tokens in body:
-        if len(tokens) != width:
-            usage = " ".join(f"<{name}>" for name in row_fields)
-            raise ParseError(line_no, f"{kind} rows are '{usage}'")
-        line_nos.append(line_no)
-        rows.append(_ints(line_no, tokens))
-    return _Table(kind, header_no, header, line_nos, rows)
+def _write(path, header: str, lines: Iterable[str]) -> None:
+    """Write the header and then each of lines as it is produced."""
+    with open(path, "w") as out:
+        out.write(header + "\n")
+        out.writelines(line + "\n" for line in lines)
 
 
 def parse_intervals(path) -> IntervalRep:
-    return _intervals(_read(path, "intervals"))
+    return _intervals(_Rows(path, "intervals"))
 
 
-def _intervals(table: _Table) -> IntervalRep:
+def _intervals(rows: _Rows) -> IntervalRep:
     try:
-        return IntervalRep(tuple(table.rows))
+        return IntervalRep(rows)
     except RepresentationError as exc:
-        raise ParseError(table.line_nos[exc.position], str(exc)) from None
+        raise ParseError(rows.line, str(exc)) from None
 
 
 def write_intervals(path, rep: IntervalRep) -> None:
-    out = [f"intervals {rep.n}"]
-    out.extend(f"{v} {lo} {hi}" for v, (lo, hi) in enumerate(zip(rep.lefts, rep.rights)))
-    Path(path).write_text("\n".join(out) + "\n")
+    lines = (f"{v} {lo} {hi}" for v, (lo, hi) in enumerate(zip(rep.lefts, rep.rights)))
+    _write(path, f"intervals {rep.n}", lines)
 
 
 def parse_graph(path) -> Graph:
-    return _graph(_read(path, "graph"))
+    return _graph(_Rows(path, "graph"))
 
 
-def _graph(table: _Table) -> Graph:
-    n = table.header[0]
+def _graph(rows: _Rows) -> Graph:
+    n = rows.header[0]
     seen = set()
-    for line_no, (u, v) in zip(table.line_nos, table.rows):
+    for u, v in rows:
         if not 0 <= u < v < n:
-            raise ParseError(line_no, f"edge ({u}, {v}) must satisfy 0 <= u < v < {n}")
+            raise ParseError(rows.line, f"edge ({u}, {v}) must satisfy 0 <= u < v < {n}")
         if (u, v) in seen:
-            raise ParseError(line_no, f"duplicate edge ({u}, {v})")
+            raise ParseError(rows.line, f"duplicate edge ({u}, {v})")
         seen.add((u, v))
-    return Graph.from_edges(n, table.rows)
+    return Graph.from_edges(n, seen)
 
 
 def write_graph(path, g: Graph) -> None:
-    out = [f"graph {g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
-    Path(path).write_text("\n".join(out) + "\n")
+    _write(path, f"graph {g.n} {g.m}", (f"{u} {v}" for u, v in g.edges()))
 
 
 def parse_coloring(path) -> Coloring:
-    table = _read(path, "coloring")
-    n, k = table.header
-    colors: list[int | None] = [None] * n
-    line_of = [0] * n
-    for line_no, (v, c) in zip(table.line_nos, table.rows):
+    rows = _Rows(path, "coloring")
+    n, k = rows.header
+    colors = [0] * n
+    line_of = [0] * n  # 0 until the vertex's row is read
+    for v, c in rows:
         if not 0 <= v < n:
-            raise ParseError(line_no, f"vertex id {v} outside 0..{n - 1}")
-        if colors[v] is not None:
-            raise ParseError(line_no, f"duplicate vertex id {v}")
+            raise ParseError(rows.line, f"vertex id {v} outside 0..{n - 1}")
+        if line_of[v]:
+            raise ParseError(rows.line, f"duplicate vertex id {v}")
         colors[v] = c
-        line_of[v] = line_no
+        line_of[v] = rows.line
     try:
-        return Coloring(tuple(colors), k)
+        return Coloring(colors, k)
     except ColoringError as exc:
-        line_no = table.header_no if exc.vertex is None else line_of[exc.vertex]
+        line_no = rows.header_line if exc.vertex is None else line_of[exc.vertex]
         raise ParseError(line_no, str(exc)) from None
 
 
 def write_coloring(path, c: Coloring) -> None:
-    out = [f"coloring {len(c)} {c.k}"]
-    out.extend(f"{v} {c[v]}" for v in range(len(c)))
-    Path(path).write_text("\n".join(out) + "\n")
+    _write(path, f"coloring {len(c)} {c.k}", (f"{v} {color}" for v, color in enumerate(c)))
 
 
 def parse_binpacking(path) -> BinPackingInstance:
-    table = _read(path, "binpacking")
-    _n, k, capacity = table.header
+    rows = _Rows(path, "binpacking")
+    items = tuple(size for (size,) in rows)
     try:
-        return BinPackingInstance(tuple(size for (size,) in table.rows), k, capacity)
+        return BinPackingInstance(items, *rows.header[1:])
     except ValueError as exc:
-        raise ParseError(table.header_no, str(exc)) from None
+        raise ParseError(rows.header_line, str(exc)) from None
 
 
 def write_binpacking(path, inst: BinPackingInstance) -> None:
-    out = [f"binpacking {inst.n} {inst.bins} {inst.capacity}"]
-    out.extend(str(a) for a in inst.items)
-    Path(path).write_text("\n".join(out) + "\n")
+    _write(path, f"binpacking {inst.n} {inst.bins} {inst.capacity}", map(str, inst.items))
 
 
 def parse_labels(path) -> tuple[str, dict[str, tuple[int, ...]]]:
-    lines = _read_lines(path)
-    if not lines:
+    lines = _data_lines(Path(path).read_text().splitlines())
+    line_no, tokens = next(lines, (1, None))
+    if tokens is None:
         raise ParseError(1, "empty file, expected a 'labels' header")
-    line_no, tokens = lines[0]
     if tokens[0] != "labels" or len(tokens) != 2:
         raise ParseError(line_no, "expected a 'labels <kind>' header")
     kind = tokens[1]
     parts: dict[str, tuple[int, ...]] = {}
-    for line_no, tokens in lines[1:]:
+    for line_no, tokens in lines:
         name = tokens[0]
         if name in parts:
             raise ParseError(line_no, f"duplicate part name {name!r}")
@@ -214,7 +214,7 @@ def parse_labels(path) -> tuple[str, dict[str, tuple[int, ...]]]:
 
 
 def write_labels(path, layout: GadgetLayout) -> None:
-    out = [f"labels {layout.kind}"]
+    out = []
     for j, part in enumerate(layout.parts):
         if layout.kind == SPLIT:
             out.append(f"clique{j} " + " ".join(map(str, part.clique)))
@@ -226,14 +226,14 @@ def write_labels(path, layout: GadgetLayout) -> None:
             out.append(f"hubs{j} " + " ".join(map(str, part.hubs)))
         else:
             raise ValueError(f"unknown layout kind {layout.kind!r}")
-    Path(path).write_text("\n".join(out) + "\n")
+    _write(path, f"labels {layout.kind}", out)
 
 
 def parse_graph_or_intervals(path) -> Graph | IntervalRep:
     """A graph file as a Graph or an intervals file as an IntervalRep,
     reading the file once."""
-    table = _read(path, "graph", "intervals")
-    return _graph(table) if table.kind == "graph" else _intervals(table)
+    rows = _Rows(path, "graph", "intervals")
+    return _graph(rows) if rows.kind == "graph" else _intervals(rows)
 
 
 def load_graph(path) -> Graph:

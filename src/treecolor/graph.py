@@ -11,7 +11,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 class RepresentationError(ValueError):
@@ -37,11 +37,11 @@ class ProperContainmentError(ValueError):
 
 @dataclass(frozen=True)
 class IntervalRep:
-    """A family of named closed integer intervals, one per vertex id 0..n-1,
-    given as (id, left, right) entries in any order and stored by id in the
-    columns `lefts` and `rights`; reps of the same intervals are equal."""
+    """Closed integer intervals, one per vertex id 0..n-1, read once from a
+    sized iterable of (id, left, right) entries in any order and kept by id
+    in the columns `lefts` and `rights`; reps of the same intervals are equal."""
 
-    entries: InitVar[Sequence[tuple[int, int, int]]]
+    entries: InitVar[Collection[tuple[int, int, int]]]
     lefts: tuple[int, ...] = field(init=False)
     rights: tuple[int, ...] = field(init=False)
 

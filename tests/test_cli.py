@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,17 @@ def run(capsys, argv):
 
 def stats(out):
     return dict(line.split("=", 1) for line in out.strip().splitlines())
+
+
+# Runs main on argv under a 1.5 GB address-space limit, which applies to this
+# child process only.
+LIMITED_MAIN = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, hard))
+from treecolor.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 class TestColor:
@@ -461,6 +475,26 @@ class TestHarness:
         assert err.startswith("error: argument --") and err.count("\n") == 1
         assert "expected" in err
         assert "_positive_int" not in err and "_timeout_seconds" not in err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds allocations on Linux")
+    @pytest.mark.parametrize(
+        "argv", [["verify", "huge.graph", "two.coloring"], ["solve", "huge.graph", "--k", "1"]]
+    )
+    def test_out_of_memory_is_an_error_line(self, tmp_path, argv):
+        # A 19-byte graph file whose header names a billion vertices.
+        (tmp_path / "huge.graph").write_text("graph 1000000000 0\n")
+        (tmp_path / "two.coloring").write_text("coloring 2 2\n0 0\n1 1\n")
+        src = str(Path(treecolor.cli.__file__).parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", LIMITED_MAIN, *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr == "error: ran out of memory\n"
 
     def test_json_format(self, capsys, tmp_path, k4_file):
         code, out, _ = run(

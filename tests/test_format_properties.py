@@ -2,8 +2,10 @@
 
 Any text gives a value or a ParseError; a file with one defective row is
 reported on that row's line, whichever of the reader or the type owns the
-broken rule; and arbitrary bytes given to the CLI as an intervals file, or
-as the first file of `verify`, end in exit 1 with an `error:` line.
+broken rule, and a file with two on the first of them; line numbers count
+every line boundary of str.splitlines; and arbitrary bytes given to the CLI
+as an intervals file, or as the first file of `verify`, end in exit 1 with
+an `error:` line.
 """
 
 import contextlib
@@ -83,27 +85,14 @@ def render(header, rows, gaps):
     return "\n".join(lines) + "\n", row_lines
 
 
-@st.composite
-def one_bad_row(draw):
-    """(parser, text, line) for a valid intervals or coloring file in which
-    exactly one row was corrupted, and that row's line."""
-    kind = draw(st.sampled_from(["intervals", "coloring"]))
-    n = draw(st.integers(2, 8))
-    ids = draw(st.permutations(range(n)))
-    if kind == "intervals":
-        header, parse = f"intervals {n}", parse_intervals
-        rows = []
-        for v in ids:
-            lo = draw(st.integers(-5, 20))
-            rows.append([v, lo, lo + draw(st.integers(0, 10))])
-    else:
-        k = draw(st.integers(1, 4))
-        header, parse = f"coloring {n} {k}", parse_coloring
-        rows = [[v, draw(st.integers(0, k - 1))] for v in ids]
-    defects = ["duplicate", "out_of_range", "non_integer", "width"]
-    defects.append("reversed" if kind == "intervals" else "bad_color")
-    defect = draw(st.sampled_from(defects))
-    r = draw(st.integers(1 if defect == "duplicate" else 0, n - 1))
+DEFECTS = ["duplicate", "out_of_range", "non_integer", "width"]
+
+
+def corrupt(draw, rows, r, defect, n, k):
+    """Give row r of a valid file of n rows (and k colors) the defect: an
+    id used by an earlier row, an id outside 0..n-1, a token that is not an
+    integer, one field too few or too many, left > right, or a color
+    outside 0..k-1."""
     row = rows[r]
     if defect == "duplicate":
         # The later of the two rows is the duplicate.
@@ -118,9 +107,42 @@ def one_bad_row(draw):
         row[1], row[2] = row[2] + 1, row[1]
     else:
         row[1] = draw(st.sampled_from([-1, k, k + 3]))
+
+
+@st.composite
+def bad_rows(draw, count, kinds=("intervals", "coloring")):
+    """(parser, text, line) for a valid file of one of kinds in which count
+    rows were corrupted, each with a defect of its own, and the line of the
+    first corrupted row."""
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(max(2, count), 8))
+    ids = draw(st.permutations(range(n)))
+    k = None
+    if kind == "intervals":
+        header, parse = f"intervals {n}", parse_intervals
+        rows = []
+        for v in ids:
+            lo = draw(st.integers(-5, 20))
+            rows.append([v, lo, lo + draw(st.integers(0, 10))])
+    else:
+        k = draw(st.integers(1, 4))
+        header, parse = f"coloring {n} {k}", parse_coloring
+        rows = [[v, draw(st.integers(0, k - 1))] for v in ids]
+    defects = DEFECTS + ["reversed" if kind == "intervals" else "bad_color"]
+    bad = sorted(draw(st.lists(st.integers(0, n - 1), min_size=count, max_size=count, unique=True)))
+    for r in bad:
+        # Row 0 has no earlier row to duplicate.
+        defect = draw(st.sampled_from(defects[1:] if r == 0 else defects))
+        corrupt(draw, rows, r, defect, n, k)
     gaps = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     text, row_lines = render(header, rows, gaps)
-    return parse, text, row_lines[r]
+    return parse, text, row_lines[bad[0]]
+
+
+def one_bad_row():
+    """(parser, text, line) for a valid intervals or coloring file in which
+    exactly one row was corrupted, and that row's line."""
+    return bad_rows(1)
 
 
 @settings(max_examples=200)
@@ -132,6 +154,37 @@ def test_single_bad_row_is_reported_on_its_line(case, workdir):
     with pytest.raises(ParseError) as excinfo:
         parse(path)
     assert excinfo.value.line == line, text
+
+
+@settings(max_examples=200)
+@given(case=bad_rows(2, kinds=("intervals",)))
+def test_first_of_two_bad_rows_is_reported(case, workdir):
+    # Rows are checked as they are read, whichever of the reader or
+    # IntervalRep owns the rule the row breaks.
+    parse, text, line = case
+    path = workdir / "two-bad-rows"
+    path.write_text(text)
+    with pytest.raises(ParseError) as excinfo:
+        parse(path)
+    assert excinfo.value.line == line, text
+
+
+# Line boundaries of str.splitlines besides a bare "\n".
+SEPARATORS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@settings(max_examples=200)
+@given(case=one_bad_row(), data=st.data())
+def test_bad_row_line_counts_every_line_boundary(case, data, workdir):
+    parse, text, line = case
+    lines = text.split("\n")[:-1]
+    text = "".join(raw + data.draw(st.sampled_from(SEPARATORS)) for raw in lines)
+    assert text.splitlines() == lines
+    path = workdir / "separators"
+    path.write_text(text)
+    with pytest.raises(ParseError) as excinfo:
+        parse(path)
+    assert excinfo.value.line == line, repr(text)
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["color", "--k", "2"], ["verify"]])

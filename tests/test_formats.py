@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from treecolor import (
@@ -8,6 +10,7 @@ from treecolor import (
     build_split_gadget,
     derive_graph,
     gen_random_interval,
+    round_robin_color,
 )
 from treecolor.formats import (
     ParseError,
@@ -154,3 +157,49 @@ class TestParseErrors:
 
     def test_binpacking_sum_mismatch(self, tmp_path):
         self.expect_error(tmp_path, "binpacking 2 2 2\n3\n2\n", 1, parse_binpacking)
+
+
+def traced_peak(call):
+    """The result of call() and the tracemalloc peak in bytes while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReaderMemory:
+    """Rows go to their consumer as they are read, and no type is sized by a
+    header count the file cannot hold."""
+
+    def test_rows_are_streamed(self, tmp_path):
+        rep = gen_random_interval(100_000, 2_000_000, 1, proper=True)
+        intervals, coloring = tmp_path / "a.intervals", tmp_path / "a.coloring"
+        write_intervals(intervals, rep)
+        write_coloring(coloring, round_robin_color(rep, 2000))
+        rep, peak = traced_peak(lambda: parse_intervals(intervals))
+        assert rep.n == 100_000 and peak <= 20 * 2**20
+        colors, peak = traced_peak(lambda: parse_coloring(coloring))
+        assert len(colors) == 100_000 and peak <= 20 * 2**20
+
+    @pytest.mark.parametrize(
+        "parse,header",
+        [
+            (parse_intervals, "intervals 1000000000"),
+            (parse_coloring, "coloring 1000000000 2"),
+            (parse_binpacking, "binpacking 1000000000 1 1"),
+        ],
+    )
+    def test_count_beyond_the_file_is_a_short_file(self, tmp_path, parse, header):
+        path = tmp_path / "huge"
+        path.write_text(header + "\n")
+
+        def rejected():
+            with pytest.raises(ParseError) as excinfo:
+                parse(path)
+            return excinfo.value
+
+        error, peak = traced_peak(rejected)
+        assert str(error) == "line 1: file ends after 0 of 1000000000 rows"
+        assert peak <= 2**20
