@@ -18,11 +18,12 @@ file lists each vertex once); the types check every other value.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn
 
 from .coloring import Coloring, ColoringError
-from .gadgets import INTERVAL, SPLIT, BinPackingInstance, GadgetLayout
+from .gadgets import BinPackingInstance, GadgetLayout
 from .graph import Graph, IntervalRep, RepresentationError, derive_graph
 
 
@@ -118,10 +119,13 @@ class _Rows:
 
 
 def _write(path, header: str, lines: Iterable[str]) -> None:
-    """Write the header and then each of lines as it is produced."""
+    """Write the header and then lines, joined 4,096 at a time, so memory is
+    bounded by the chunk and not by the line count."""
+    lines = iter(lines)
     with open(path, "w") as out:
         out.write(header + "\n")
-        out.writelines(line + "\n" for line in lines)
+        while chunk := list(islice(lines, 4096)):
+            out.write("\n".join(chunk) + "\n")
 
 
 def parse_intervals(path) -> IntervalRep:
@@ -214,19 +218,12 @@ def parse_labels(path) -> tuple[str, dict[str, tuple[int, ...]]]:
 
 
 def write_labels(path, layout: GadgetLayout) -> None:
-    out = []
-    for j, part in enumerate(layout.parts):
-        if layout.kind == SPLIT:
-            out.append(f"clique{j} " + " ".join(map(str, part.clique)))
-            out.append(f"center{j} {part.center}")
-            out.append(f"indep{j} " + " ".join(map(str, part.independent)))
-        elif layout.kind == INTERVAL:
-            for t, clique in enumerate(part.cliques):
-                out.append(f"clique{j}.{t} " + " ".join(map(str, clique)))
-            out.append(f"hubs{j} " + " ".join(map(str, part.hubs)))
-        else:
-            raise ValueError(f"unknown layout kind {layout.kind!r}")
-    _write(path, f"labels {layout.kind}", out)
+    lines = (
+        f"{name} " + " ".join(map(str, ids))
+        for j, part in enumerate(layout.parts)
+        for name, ids in part.labels(j)
+    )
+    _write(path, f"labels {layout.kind}", lines)
 
 
 def parse_graph_or_intervals(path) -> Graph | IntervalRep:

@@ -10,6 +10,10 @@ witness mappings in both directions:
   independent set of a_j + 1 vertices.
 * interval gadget - per item j, a chain of 2*a_j cliques on 2k-1 vertices
   linked by a_j hub vertices, realized by concrete closed intervals.
+
+Both part types share one surface, read without asking the kind: `cliques`,
+the `attached` vertices (independent set or hubs), `windows()` (each attached
+vertex with the cliques joined to it) and `labels(j)` (the labels file lines).
 """
 
 from __future__ import annotations
@@ -94,22 +98,53 @@ def solve_bin_packing(inst: BinPackingInstance) -> list[list[int]] | None:
 @dataclass(frozen=True)
 class SplitPart:
     """Component built for one item: a clique fully joined to an independent
-    set, with one designated clique vertex (the star center in witness
-    colorings)."""
+    set, its attached vertices. The clique's first vertex is the center (the
+    star center in witness colorings)."""
 
     clique: tuple[int, ...]
-    center: int
     independent: tuple[int, ...]
+
+    @property
+    def center(self) -> int:
+        return self.clique[0]
+
+    @property
+    def cliques(self) -> tuple[tuple[int, ...], ...]:
+        return (self.clique,)
+
+    @property
+    def attached(self) -> tuple[int, ...]:
+        return self.independent
+
+    def windows(self) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+        return ((w, self.cliques) for w in self.independent)
+
+    def labels(self, j: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+        yield f"clique{j}", self.clique
+        yield f"center{j}", (self.center,)
+        yield f"indep{j}", self.independent
 
 
 @dataclass(frozen=True)
 class ChainPart:
     """Chain component built for one item of size a: cliques[0..2a-1] plus
-    hubs[0..a-1], where hub t is adjacent to every vertex of cliques 2t,
-    2t+1 and 2t+2 (the last one when it exists) and to nothing else."""
+    hubs[0..a-1], its attached vertices, where hub t is adjacent to every
+    vertex of cliques 2t, 2t+1 and 2t+2 (the last one when it exists) and to
+    nothing else."""
 
     cliques: tuple[tuple[int, ...], ...]
     hubs: tuple[int, ...]
+
+    @property
+    def attached(self) -> tuple[int, ...]:
+        return self.hubs
+
+    def windows(self) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+        return ((hub, self.cliques[2 * t : 2 * t + 3]) for t, hub in enumerate(self.hubs))
+
+    def labels(self, j: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+        yield from ((f"clique{j}.{t}", clique) for t, clique in enumerate(self.cliques))
+        yield f"hubs{j}", self.hubs
 
 
 @dataclass(frozen=True)
@@ -140,21 +175,11 @@ def build_split_gadget(inst: BinPackingInstance) -> GadgetLayout:
         next_id += width
         independent = tuple(range(next_id, next_id + a + 1))
         next_id += a + 1
-        part = SplitPart(clique=clique, center=clique[0], independent=independent)
-        edges.extend(_split_part_edges(part))
+        part = SplitPart(clique, independent)
+        edges.extend(_part_edges(part))
         parts.append(part)
     graph = Graph.from_edges(next_id, edges)
     return GadgetLayout(SPLIT, inst, graph, tuple(parts))
-
-
-def _split_part_edges(part: SplitPart) -> Iterator[tuple[int, int]]:
-    clique = part.clique
-    for i, u in enumerate(clique):
-        for v in clique[i + 1 :]:
-            yield (u, v)
-    for u in clique:
-        for w in part.independent:
-            yield (u, w)
 
 
 def build_interval_gadget(inst: BinPackingInstance) -> GadgetLayout:
@@ -192,39 +217,31 @@ def build_interval_gadget(inst: BinPackingInstance) -> GadgetLayout:
                 entries.append((u, base + 60 * i - 50, base + 60 * i - 40))
             for u in second:
                 entries.append((u, base + 60 * i - 30, base + 60 * i - 20))
-            if i < a:
-                entries.append((hub, base + 60 * i - 45, base + 60 * i + 12))
-            else:
-                entries.append((hub, base + 60 * i - 45, base + 60 * i - 25))
+            entries.append((hub, base + 60 * i - 45, base + 60 * i + (12 if i < a else -25)))
         part = ChainPart(tuple(cliques), tuple(hubs))
-        edges.extend(_chain_part_edges(part))
+        edges.extend(_part_edges(part))
         parts.append(part)
         base += 60 * a + 60
     graph = Graph.from_edges(next_id, edges)
     return GadgetLayout(INTERVAL, inst, graph, tuple(parts), IntervalRep(tuple(entries)))
 
 
-def _chain_part_edges(part: ChainPart) -> Iterator[tuple[int, int]]:
+def _part_edges(part: SplitPart | ChainPart) -> Iterator[tuple[int, int]]:
+    """Every edge of the part as (u, v) with u < v."""
     for clique in part.cliques:
         for i, u in enumerate(clique):
             for v in clique[i + 1 :]:
                 yield (u, v)
-    for t, hub in enumerate(part.hubs):
-        for ci in (2 * t, 2 * t + 1, 2 * t + 2):
-            if ci < len(part.cliques):
-                for u in part.cliques[ci]:
-                    yield (hub, u)
+    for w, cliques in part.windows():
+        for clique in cliques:
+            for u in clique:
+                yield (u, w) if u < w else (w, u)
 
 
 def chain_clique_sequence(part: ChainPart) -> list[frozenset[int]]:
     """The component's maximal cliques, listed so that every vertex occupies
     a consecutive run: hub t extends cliques 2t, 2t+1 and 2t+2."""
-    sequence = []
-    for t, hub in enumerate(part.hubs):
-        for ci in (2 * t, 2 * t + 1, 2 * t + 2):
-            if ci < len(part.cliques):
-                sequence.append(frozenset(part.cliques[ci]) | {hub})
-    return sequence
+    return [frozenset(clique) | {hub} for hub, cliques in part.windows() for clique in cliques]
 
 
 def verify_maximal_clique_order(layout: GadgetLayout) -> bool:
@@ -291,18 +308,10 @@ def validate_layout(layout: GadgetLayout) -> None:
     labeled: list[int] = []
     implied: set[tuple[int, int]] = set()
     for part in layout.parts:
-        if layout.kind == SPLIT:
-            labeled.extend(part.clique)
-            labeled.extend(part.independent)
-            if part.center not in part.clique:
-                raise ConsistencyError("designated center is not a clique vertex")
-            part_edges = _split_part_edges(part)
-        else:
-            for clique in part.cliques:
-                labeled.extend(clique)
-            labeled.extend(part.hubs)
-            part_edges = _chain_part_edges(part)
-        implied.update(tuple(sorted(e)) for e in part_edges)
+        for clique in part.cliques:
+            labeled.extend(clique)
+        labeled.extend(part.attached)
+        implied.update(_part_edges(part))
     if sorted(labeled) != list(range(layout.graph.n)):
         raise ConsistencyError("part labels do not partition the vertex set")
     if implied != set(layout.graph.edges()):
@@ -330,11 +339,10 @@ def coloring_from_packing(
     """Translate an exact packing into an equitable tree-coloring of the
     gadget, bin index i becoming color i.
 
-    For an item placed in bin i, the forced vertices (the independent set
-    plus the center for split parts; the hubs plus the first vertex of every
-    clique for chain parts) take color i and the remaining clique vertices
-    take the other k-1 colors, each exactly twice per clique. Class sizes
-    come out as B + 2n (split) or (4k - 1)B (interval).
+    For an item placed in bin i, the part's attached vertices and the first
+    vertex of each of its cliques (a split part's center) take color i, and
+    the rest of each clique takes the other k-1 colors, each exactly twice.
+    Class sizes come out as B + 2n (split) or (4k - 1)B (interval).
     """
     inst = layout.instance
     _check_partition(inst, partition)
@@ -344,19 +352,12 @@ def coloring_from_packing(
         others = [c for c in range(k) if c != bin_index]
         for j in bin_items:
             part = layout.parts[j]
-            if layout.kind == SPLIT:
-                colors[part.center] = bin_index
-                for w in part.independent:
-                    colors[w] = bin_index
-                for t, u in enumerate(part.clique[1:]):
+            for w in part.attached:
+                colors[w] = bin_index
+            for clique in part.cliques:
+                colors[clique[0]] = bin_index
+                for t, u in enumerate(clique[1:]):
                     colors[u] = others[t // 2]
-            else:
-                for hub in part.hubs:
-                    colors[hub] = bin_index
-                for clique in part.cliques:
-                    colors[clique[0]] = bin_index
-                    for t, u in enumerate(clique[1:]):
-                        colors[u] = others[t // 2]
     return Coloring(tuple(colors), k)
 
 
@@ -376,7 +377,7 @@ def _check_partition(
 
 def packing_from_coloring(layout: GadgetLayout, c: Coloring) -> list[list[int]]:
     """Read an exact packing back out of a verified coloring: every item goes
-    to the bin named by the common color of its forced vertex set.
+    to the bin named by the common color of its part's attached vertices.
 
     A valid equitable tree-coloring of the gadget cannot color those sets
     with more than one color or produce bin loads other than the capacity,
@@ -392,8 +393,7 @@ def packing_from_coloring(layout: GadgetLayout, c: Coloring) -> list[list[int]]:
         )
     partition: list[list[int]] = [[] for _ in range(inst.bins)]
     for j, part in enumerate(layout.parts):
-        forced = part.independent if layout.kind == SPLIT else part.hubs
-        bin_colors = {c[w] for w in forced}
+        bin_colors = {c[w] for w in part.attached}
         if len(bin_colors) != 1:
             raise ConsistencyError(f"forced vertex set of item {j} is not monochromatic")
         partition[bin_colors.pop()].append(j)

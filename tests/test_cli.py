@@ -283,6 +283,58 @@ class TestGen:
 
         assert derive_graph(rep).adj == g.adj
 
+    # Two items of size 1 in k = 2 bins of capacity 1: every file each gadget
+    # kind writes, line for line. A split part is a triangle joined to two
+    # independent vertices; a chain part is two triangles and one hub.
+    GOLDEN = {
+        "split-gadget": {
+            "g.labels": (
+                "labels split",
+                "clique0 0 1 2", "center0 0", "indep0 3 4",
+                "clique1 5 6 7", "center1 5", "indep1 8 9",
+            ),
+            "g.graph": (
+                "graph 10 18",
+                "0 1", "0 2", "0 3", "0 4", "1 2", "1 3", "1 4", "2 3", "2 4",
+                "5 6", "5 7", "5 8", "5 9", "6 7", "6 8", "6 9", "7 8", "7 9",
+            ),
+        },
+        "interval-gadget": {
+            "g.labels": (
+                "labels interval",
+                "clique0.0 0 1 2", "clique0.1 3 4 5", "hubs0 6",
+                "clique1.0 7 8 9", "clique1.1 10 11 12", "hubs1 13",
+            ),
+            "g.graph": (
+                "graph 14 24",
+                "0 1", "0 2", "0 6", "1 2", "1 6", "2 6",
+                "3 4", "3 5", "3 6", "4 5", "4 6", "5 6",
+                "7 8", "7 9", "7 13", "8 9", "8 13", "9 13",
+                "10 11", "10 12", "10 13", "11 12", "11 13", "12 13",
+            ),
+            "g.intervals": (
+                "intervals 14",
+                "0 10 20", "1 10 20", "2 10 20", "3 30 40", "4 30 40", "5 30 40",
+                "6 15 35",
+                "7 130 140", "8 130 140", "9 130 140",
+                "10 150 160", "11 150 160", "12 150 160",
+                "13 135 155",
+            ),
+        },
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_gadget_files_golden(self, capsys, tmp_path, kind):
+        inst = self.packing_file(tmp_path, (1, 1), 2, 1)
+        argv = ["gen", kind, inst, "--out", str(tmp_path / "g.graph"),
+                "--labels-out", str(tmp_path / "g.labels")]
+        if kind == "interval-gadget":
+            argv += ["--intervals-out", str(tmp_path / "g.intervals")]
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        for name, lines in self.GOLDEN[kind].items():
+            assert (tmp_path / name).read_text() == "".join(f"{line}\n" for line in lines)
+
     @pytest.mark.parametrize(
         "kind, missing",
         [

@@ -169,6 +169,18 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+class TestWriterMemory:
+    def test_lines_are_written_in_chunks(self, tmp_path):
+        # A whole-file join holds at least the whole text, the file's size in
+        # bytes, besides every line; the writer holds one chunk of lines.
+        rep = gen_random_interval(100_000, 10**9, 1)
+        path = tmp_path / "a.intervals"
+        _, peak = traced_peak(lambda: write_intervals(path, rep))
+        size = path.stat().st_size
+        assert size > 2 * 2**20 and peak < size // 2
+        assert parse_intervals(path) == rep
+
+
 class TestReaderMemory:
     """Rows go to their consumer as they are read, and no type is sized by a
     header count the file cannot hold."""
