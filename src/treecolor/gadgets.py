@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import operator
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .coloring import Coloring, ConsistencyError, verify_equitable_tree_coloring
-from .graph import Graph, IntervalRep, derive_graph
-
-SPLIT = "split"
-INTERVAL = "interval"
+from .graph import Graph, IntervalRep, interval_edge_stats
 
 
 @dataclass(frozen=True)
@@ -149,13 +148,17 @@ class ChainPart:
 
 @dataclass(frozen=True)
 class GadgetLayout:
-    """A built gadget graph with its labeled parts, one part per item."""
+    """A built gadget graph with its labeled parts, one part per item, and
+    for an interval gadget the intervals that realize it."""
 
-    kind: str
     instance: BinPackingInstance
     graph: Graph
     parts: tuple
     rep: IntervalRep | None = None
+
+    @property
+    def kind(self) -> str:
+        return "split" if self.rep is None else "interval"
 
 
 def build_split_gadget(inst: BinPackingInstance) -> GadgetLayout:
@@ -168,18 +171,15 @@ def build_split_gadget(inst: BinPackingInstance) -> GadgetLayout:
     k = inst.bins
     width = 2 * k - 1
     parts = []
-    edges: list[tuple[int, int]] = []
     next_id = 0
     for a in inst.items:
         clique = tuple(range(next_id, next_id + width))
         next_id += width
         independent = tuple(range(next_id, next_id + a + 1))
         next_id += a + 1
-        part = SplitPart(clique, independent)
-        edges.extend(_part_edges(part))
-        parts.append(part)
-    graph = Graph.from_edges(next_id, edges)
-    return GadgetLayout(SPLIT, inst, graph, tuple(parts))
+        parts.append(SplitPart(clique, independent))
+    graph = Graph.from_edges(next_id, chain.from_iterable(map(_part_edges, parts)))
+    return GadgetLayout(inst, graph, tuple(parts))
 
 
 def build_interval_gadget(inst: BinPackingInstance) -> GadgetLayout:
@@ -191,13 +191,12 @@ def build_interval_gadget(inst: BinPackingInstance) -> GadgetLayout:
     [60i-45, 60i+12] so it reaches into the next step's first clique; the
     last hub is truncated to [60i-45, 60i-25] since there is no next step.
     Components are offset by 60*a_j + 60 so they cannot interact.
-    `validate_layout` checks the adjacency derived from the intervals
-    against the intended edge set. Total vertex count is k(4k - 1)B.
+    `validate_layout` checks the intervals against the intended edge set.
+    Total vertex count is k(4k - 1)B.
     """
     k = inst.bins
     width = 2 * k - 1
     parts = []
-    edges: list[tuple[int, int]] = []
     entries: list[tuple[int, int, int]] = []
     next_id = 0
     base = 0
@@ -218,12 +217,10 @@ def build_interval_gadget(inst: BinPackingInstance) -> GadgetLayout:
             for u in second:
                 entries.append((u, base + 60 * i - 30, base + 60 * i - 20))
             entries.append((hub, base + 60 * i - 45, base + 60 * i + (12 if i < a else -25)))
-        part = ChainPart(tuple(cliques), tuple(hubs))
-        edges.extend(_part_edges(part))
-        parts.append(part)
+        parts.append(ChainPart(tuple(cliques), tuple(hubs)))
         base += 60 * a + 60
-    graph = Graph.from_edges(next_id, edges)
-    return GadgetLayout(INTERVAL, inst, graph, tuple(parts), IntervalRep(tuple(entries)))
+    graph = Graph.from_edges(next_id, chain.from_iterable(map(_part_edges, parts)))
+    return GadgetLayout(inst, graph, tuple(parts), IntervalRep(tuple(entries)))
 
 
 def _part_edges(part: SplitPart | ChainPart) -> Iterator[tuple[int, int]]:
@@ -246,11 +243,11 @@ def chain_clique_sequence(part: ChainPart) -> list[frozenset[int]]:
 
 def verify_maximal_clique_order(layout: GadgetLayout) -> bool:
     """Check, per chain component with a hubs, that the listed cliques are
-    maximal cliques of the graph, that there are 3a - 1 of them, and that
-    every vertex appears in a consecutive run of the list."""
-    if layout.kind != INTERVAL:
+    maximal cliques of the intervals' graph, that there are 3a - 1 of them,
+    and that every vertex appears in a consecutive run of the list."""
+    rep = layout.rep
+    if rep is None:
         raise ValueError("maximal-clique ordering applies to interval layouts only")
-    g = layout.graph
     for part in layout.parts:
         sequence = chain_clique_sequence(part)
         if len(sequence) != 3 * len(part.hubs) - 1:
@@ -259,7 +256,7 @@ def verify_maximal_clique_order(layout: GadgetLayout) -> bool:
         last: dict[int, int] = {}
         hits: dict[int, int] = {}
         for idx, clique in enumerate(sequence):
-            if not _is_maximal_clique(g, clique):
+            if not _is_maximal_clique(rep, clique):
                 return False
             for v in clique:
                 first.setdefault(v, idx)
@@ -271,17 +268,16 @@ def verify_maximal_clique_order(layout: GadgetLayout) -> bool:
     return True
 
 
-def _is_maximal_clique(g: Graph, vertices: frozenset[int]) -> bool:
-    """A clique when every member sees all the others; maximal when no
-    vertex sees them all, i.e. the members' neighbor sets share nothing.
-    Expects at least one member."""
-    common: frozenset[int] | None = None
-    for u in vertices:
-        nbrs = g.neighbor_sets[u]
-        if len(vertices & nbrs) != len(vertices) - 1:
-            return False
-        common = nbrs if common is None else common & nbrs
-    return not common
+def _is_maximal_clique(rep: IntervalRep, vertices: frozenset[int]) -> bool:
+    """Intervals pairwise meet iff they share a segment [lo, hi] (Helly), and
+    then a vertex meets them all iff it meets that segment, so the members
+    are a maximal clique iff the segment is non-empty and they alone meet it.
+    The intervals meeting it are those with left <= hi, less those with
+    right < lo. Expects at least one member."""
+    lo = max(map(rep.lefts.__getitem__, vertices))
+    hi = min(map(rep.rights.__getitem__, vertices))
+    meeting = bisect_right(rep.ordered_lefts, hi) - bisect_left(rep.sorted_rights, lo)
+    return lo <= hi and meeting == len(vertices)
 
 
 def validate_layout(layout: GadgetLayout) -> None:
@@ -289,20 +285,21 @@ def validate_layout(layout: GadgetLayout) -> None:
 
     Covers the vertex-count identity (k(2n+B) split, k(4k-1)B interval), the
     parts partitioning the vertex set, the label-implied edges matching the
-    graph, and for interval layouts the rep-derived adjacency, the maximal
-    clique ordering, and the hub degrees 3(2k-1) (2(2k-1) for the last hub).
+    graph, and for interval layouts the maximal clique ordering, the hub
+    degrees 3(2k-1) (2(2k-1) for the last hub) and the intervals' adjacency:
+    every graph edge joins two meeting intervals, and the graph has as many
+    edges as the intervals' graph, so the two edge sets are equal.
     """
     inst = layout.instance
     k = inst.bins
-    if layout.kind == SPLIT:
+    g, rep = layout.graph, layout.rep
+    if rep is None:
         expected_n = k * (2 * inst.n + inst.capacity)
-    elif layout.kind == INTERVAL:
-        expected_n = k * (4 * k - 1) * inst.capacity
     else:
-        raise ValueError(f"unknown layout kind {layout.kind!r}")
-    if layout.graph.n != expected_n:
+        expected_n = k * (4 * k - 1) * inst.capacity
+    if g.n != expected_n:
         raise ConsistencyError(
-            f"{layout.kind} gadget has {layout.graph.n} vertices, identity gives {expected_n}"
+            f"{layout.kind} gadget has {g.n} vertices, identity gives {expected_n}"
         )
 
     labeled: list[int] = []
@@ -312,25 +309,27 @@ def validate_layout(layout: GadgetLayout) -> None:
             labeled.extend(clique)
         labeled.extend(part.attached)
         implied.update(_part_edges(part))
-    if sorted(labeled) != list(range(layout.graph.n)):
+    if sorted(labeled) != list(range(g.n)):
         raise ConsistencyError("part labels do not partition the vertex set")
-    if implied != set(layout.graph.edges()):
+    if implied != set(g.edges()):
         raise ConsistencyError("label-implied edges differ from the graph")
+    if rep is None:
+        return
 
-    if layout.kind == INTERVAL:
-        if layout.rep is None:
-            raise ConsistencyError("interval layout is missing its representation")
-        if derive_graph(layout.rep).adj != layout.graph.adj:
-            raise ConsistencyError("rep-derived adjacency differs from the graph")
-        if not verify_maximal_clique_order(layout):
-            raise ConsistencyError("maximal-clique ordering check failed")
-        for part in layout.parts:
-            for t, hub in enumerate(part.hubs):
-                expected = (3 if t < len(part.hubs) - 1 else 2) * (2 * k - 1)
-                if layout.graph.degree(hub) != expected:
-                    raise ConsistencyError(
-                        f"hub {hub} has degree {layout.graph.degree(hub)}, expected {expected}"
-                    )
+    lefts, rights = rep.lefts, rep.rights
+    if rep.n != g.n or g.m != interval_edge_stats(rep)[0] or not all(
+        lefts[u] <= rights[v] and lefts[v] <= rights[u] for u, v in implied
+    ):
+        raise ConsistencyError("rep-derived adjacency differs from the graph")
+    if not verify_maximal_clique_order(layout):
+        raise ConsistencyError("maximal-clique ordering check failed")
+    for part in layout.parts:
+        for t, hub in enumerate(part.hubs):
+            expected = (3 if t < len(part.hubs) - 1 else 2) * (2 * k - 1)
+            if g.degree(hub) != expected:
+                raise ConsistencyError(
+                    f"hub {hub} has degree {g.degree(hub)}, expected {expected}"
+                )
 
 
 def coloring_from_packing(

@@ -4,10 +4,10 @@ tests.
 The independent oracles deliberately avoid the library's fast paths: max
 cliques by scanning all 2^n subsets, forests by DFS, packings by enumerating
 all bin assignments, stars by scanning all neighbor r-subsets, maximal
-cliques via networkx's enumeration. The checks with superlinear cost that
-the tests hold the library to (`verify_order`, `is_star_free`) live here
-too, with `color_classes_are_forests` and `detect_kind`, which no library
-code calls.
+cliques via networkx's enumeration or by intersecting neighbor sets. The
+checks with superlinear cost that the tests hold the library to
+(`verify_order`, `is_star_free`) live here too, with
+`color_classes_are_forests` and `detect_kind`, which no library code calls.
 """
 
 from itertools import combinations, product
@@ -90,6 +90,19 @@ def maximal_cliques_networkx(g: Graph) -> set[frozenset[int]]:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return {frozenset(clique) for clique in nx.find_cliques(h)}
+
+
+def is_maximal_clique_by_neighbors(g: Graph, vertices: frozenset[int]) -> bool:
+    """A clique when every member sees all the others; maximal when no
+    vertex sees them all, i.e. the members' neighbor sets share nothing.
+    Expects at least one member."""
+    common: frozenset[int] | None = None
+    for u in vertices:
+        nbrs = g.neighbor_sets[u]
+        if len(vertices & nbrs) != len(vertices) - 1:
+            return False
+        common = nbrs if common is None else common & nbrs
+    return not common
 
 
 def equal_intervals_rep(n: int) -> IntervalRep:

@@ -2,6 +2,8 @@ from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecolor import (
     BinPackingInstance,
@@ -24,8 +26,10 @@ from treecolor import (
     verify_equitable_tree_coloring,
     verify_maximal_clique_order,
 )
+from treecolor.gadgets import _is_maximal_clique
 
 from oracles import (
+    is_maximal_clique_by_neighbors,
     is_star_free,
     maximal_cliques_networkx,
     packing_feasible_bruteforce,
@@ -204,9 +208,111 @@ class TestMaximalCliqueOrder:
         with pytest.raises(ValueError):
             verify_maximal_clique_order(layout)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_interval_count_rule_matches_neighbor_sets(self, data):
+        n = data.draw(st.integers(1, 12))
+        rep = gen_random_interval(
+            n, data.draw(st.integers(1, 3 * n)), data.draw(st.integers(0, 2**16))
+        )
+        g = derive_graph(rep)
+        if data.draw(st.booleans()):
+            members = set(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        else:
+            # A maximal clique, as is or with one vertex toggled, so that both
+            # answers come up often.
+            cliques = sorted(map(sorted, maximal_cliques_networkx(g)))
+            members = set(data.draw(st.sampled_from(cliques)))
+            if data.draw(st.booleans()):
+                members ^= {data.draw(st.integers(0, n - 1))}
+        members = frozenset(members or {0})
+        assert _is_maximal_clique(rep, members) == is_maximal_clique_by_neighbors(g, members)
+
+    def test_disjoint_members_are_no_clique_whatever_the_count(self):
+        # [0, 1] and [5, 6] are disjoint, yet exactly two intervals, the two
+        # copies of [0, 10], have left <= 1 and right >= 5.
+        rep = IntervalRep(((0, 0, 1), (1, 5, 6), (2, 0, 10), (3, 0, 10)))
+        members = frozenset({0, 1})
+        assert not _is_maximal_clique(rep, members)
+        assert not is_maximal_clique_by_neighbors(derive_graph(rep), members)
+
+
+class TestLayoutKind:
+    def test_kind_follows_the_representation(self):
+        inst = BinPackingInstance((1, 1), 2, 1)
+        assert build_split_gadget(inst).kind == "split"
+        layout = build_interval_gadget(inst)
+        assert layout.kind == "interval"
+        assert replace(layout, rep=None).kind == "split"
+
+    def test_interval_validation_builds_no_neighbor_sets(self):
+        layout = build_interval_gadget(BinPackingInstance((2, 1), 3, 1))
+        validate_layout(layout)
+        assert "neighbor_sets" not in vars(layout.graph)
+
+
+def with_interval(rep, v, lo, hi):
+    """rep with vertex v's interval replaced by [lo, hi]."""
+    spans = [(u, rep.lefts[u], rep.rights[u]) for u in range(rep.n) if u != v]
+    return IntervalRep(spans + [(v, lo, hi)])
+
 
 class TestValidateLayoutRejects:
     """Built layouts corrupted in one place, each caught by validate_layout."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rejects_exactly_the_reps_of_another_graph(self, data):
+        inst = data.draw(
+            st.sampled_from(
+                [BinPackingInstance(items, k, sum(items) // k)
+                 for items, k in (((1, 1), 2), ((2,), 2), ((2, 1), 3), ((3,), 1))]
+            )
+        )
+        layout = build_interval_gadget(inst)
+        rep = layout.rep
+        v = data.draw(st.integers(0, rep.n - 1))
+        lo, hi = rep.lefts[v], rep.rights[v]
+        if data.draw(st.booleans()):
+            shift = data.draw(st.integers(-70, 70))
+            lo, hi = lo + shift, hi + shift
+        else:
+            lo, hi = lo - data.draw(st.integers(0, 40)), hi + data.draw(st.integers(0, 40))
+        moved = with_interval(rep, v, lo, hi)
+        corrupted = replace(layout, rep=moved)
+        if derive_graph(moved).adj != layout.graph.adj:
+            with pytest.raises(ConsistencyError, match="rep-derived adjacency"):
+                validate_layout(corrupted)
+        else:
+            validate_layout(corrupted)
+
+    def test_rep_that_adds_an_edge(self):
+        # Vertex 0 of the first clique, on [10, 20], widened to reach the
+        # second clique on [30, 40]: every graph edge still joins meeting
+        # intervals, and only the edge count tells the reps apart.
+        layout = build_interval_gadget(BinPackingInstance((1, 1), 2, 1))
+        rep = layout.rep
+        assert (rep.lefts[0], rep.rights[0], rep.lefts[3]) == (10, 20, 30)
+        widened = with_interval(rep, 0, 10, 30)
+        assert set(layout.graph.edges()) < set(derive_graph(widened).edges())
+        with pytest.raises(ConsistencyError, match="rep-derived adjacency"):
+            validate_layout(replace(layout, rep=widened))
+
+    def test_rep_with_a_vertex_fewer(self):
+        layout = build_interval_gadget(BinPackingInstance((2, 1), 3, 1))
+        rep = layout.rep
+        short = IntervalRep([(u, rep.lefts[u], rep.rights[u]) for u in range(rep.n - 1)])
+        with pytest.raises(ConsistencyError, match="rep-derived adjacency"):
+            validate_layout(replace(layout, rep=short))
+
+    def test_rep_with_an_isolated_vertex_more(self):
+        # Same edges, so only the vertex count tells the reps apart.
+        layout = build_interval_gadget(BinPackingInstance((2, 1), 3, 1))
+        rep = layout.rep
+        spans = [(u, rep.lefts[u], rep.rights[u]) for u in range(rep.n)]
+        longer = IntervalRep(spans + [(rep.n, -20, -10)])
+        with pytest.raises(ConsistencyError, match="rep-derived adjacency"):
+            validate_layout(replace(layout, rep=longer))
 
     def test_wrong_rep_span(self):
         layout = build_interval_gadget(BinPackingInstance((2, 1), 3, 1))
