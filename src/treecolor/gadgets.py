@@ -303,22 +303,26 @@ def validate_layout(layout: GadgetLayout) -> None:
         )
 
     labeled: list[int] = []
-    implied: set[tuple[int, int]] = set()
     for part in layout.parts:
         for clique in part.cliques:
             labeled.extend(clique)
         labeled.extend(part.attached)
-        implied.update(_part_edges(part))
     if sorted(labeled) != list(range(g.n)):
         raise ConsistencyError("part labels do not partition the vertex set")
-    if implied != set(g.edges()):
+    # The parts partition the vertices, so their edges are distinct: they are
+    # the graph's edges iff the graph has each of them and there are g.m.
+    implied = missing = 0
+    for u, v in chain.from_iterable(map(_part_edges, layout.parts)):
+        implied += 1
+        missing += not g.has_edge(u, v)
+    if missing or implied != g.m:
         raise ConsistencyError("label-implied edges differ from the graph")
     if rep is None:
         return
 
     lefts, rights = rep.lefts, rep.rights
     if rep.n != g.n or g.m != interval_edge_stats(rep)[0] or not all(
-        lefts[u] <= rights[v] and lefts[v] <= rights[u] for u, v in implied
+        lefts[u] <= rights[v] and lefts[v] <= rights[u] for u, v in g.edges()
     ):
         raise ConsistencyError("rep-derived adjacency differs from the graph")
     if not verify_maximal_clique_order(layout):

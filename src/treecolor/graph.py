@@ -91,24 +91,26 @@ class IntervalRep:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on vertices 0..n-1 with sorted adjacency lists."""
+    """Undirected simple graph on vertices 0..n-1, held only as sorted
+    adjacency tuples: `from_edges` builds them and `has_edge` bisects them."""
 
     adj: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        # Sets only for vertices on an edge; isolated ones share the empty tuple.
-        neighbors: defaultdict[int, set[int]] = defaultdict(set)
+        # Lists only for vertices on an edge; isolated ones share the empty
+        # tuple. Deduplicating one list at a time keeps a repeated edge once.
+        neighbors: defaultdict[int, list[int]] = defaultdict(list)
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            neighbors[u].add(v)
-            neighbors[v].add(u)
+            neighbors[u].append(v)
+            neighbors[v].append(u)
         adj: list[tuple[int, ...]] = [()] * n
-        for v, s in neighbors.items():
-            adj[v] = tuple(sorted(s))
+        for v, nbrs in neighbors.items():
+            adj[v] = tuple(sorted(set(nbrs)))
         return cls(tuple(adj))
 
     @property
@@ -119,12 +121,10 @@ class Graph:
     def m(self) -> int:
         return sum(len(nbrs) for nbrs in self.adj) // 2
 
-    @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(nbrs) for nbrs in self.adj)
-
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_sets[u]
+        nbrs = self.adj[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -143,14 +143,13 @@ def derive_graph(rep: IntervalRep) -> Graph:
     """Intersection graph of the intervals: u ~ v iff the closed intervals
     share at least one point, i.e. max(lefts) <= min(rights)."""
     order, lefts, rights = rep.order, rep.ordered_lefts, rep.rights
-    neighbors: list[list[int]] = [[] for _ in range(rep.n)]
-    for p, v in enumerate(order):
-        # Everything after p whose left endpoint is still <= right(v) meets v.
-        later = order[p + 1 : bisect_right(lefts, rights[v])]
-        neighbors[v].extend(later)
-        for w in later:
-            neighbors[w].append(v)
-    return Graph(tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
+    # Everything after p whose left endpoint is still <= right(v) meets v.
+    pairs = (
+        (v, w)
+        for p, v in enumerate(order)
+        for w in order[p + 1 : bisect_right(lefts, rights[v])]
+    )
+    return Graph.from_edges(rep.n, pairs)
 
 
 def interval_edge_stats(rep: IntervalRep) -> tuple[int, int]:
@@ -216,20 +215,12 @@ def max_clique_sweep(rep: IntervalRep) -> int:
     return best
 
 
-def _check_colors(n: int, colors: Sequence[int]) -> None:
-    if len(colors) != n:
-        raise ValueError(f"coloring covers {len(colors)} vertices, graph has {n}")
-    for v, c in enumerate(colors):
-        if c is None:
-            raise ValueError(f"vertex {v} is uncolored")
-
-
 def first_monochromatic_cycle_edge(
     g: Graph, colors: Sequence[int]
 ) -> tuple[int, int] | None:
     """First edge, in ascending (u, v) order, that closes a cycle inside a
-    color class; None when every class induces a forest."""
-    _check_colors(g.n, colors)
+    color class; None when every class induces a forest. `colors` must give
+    every vertex a color."""
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -264,8 +255,8 @@ def first_monochromatic_triangle_edge(
     graph, in O(n log n) time and without listing an edge. An interval is
     open at left(v) while its right is >= left(v), since touching intervals
     intersect. The returned edge joins the two smallest ids of the triangle.
+    `colors` must give every vertex a color.
     """
-    _check_colors(rep.n, colors)
     lefts, rights = rep.lefts, rep.rights
     open_by_color: dict[int, list[int]] = {}
     for v in rep.order:

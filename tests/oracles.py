@@ -92,13 +92,18 @@ def maximal_cliques_networkx(g: Graph) -> set[frozenset[int]]:
     return {frozenset(clique) for clique in nx.find_cliques(h)}
 
 
+def neighbor_sets(g: Graph) -> tuple[frozenset[int], ...]:
+    """Each vertex's neighbors as a set, for set-based membership tests."""
+    return tuple(frozenset(nbrs) for nbrs in g.adj)
+
+
 def is_maximal_clique_by_neighbors(g: Graph, vertices: frozenset[int]) -> bool:
     """A clique when every member sees all the others; maximal when no
     vertex sees them all, i.e. the members' neighbor sets share nothing.
     Expects at least one member."""
     common: frozenset[int] | None = None
     for u in vertices:
-        nbrs = g.neighbor_sets[u]
+        nbrs = frozenset(g.adj[u])
         if len(vertices & nbrs) != len(vertices) - 1:
             return False
         common = nbrs if common is None else common & nbrs
@@ -122,7 +127,7 @@ def verify_order(g: Graph, order: Sequence[int]) -> bool:
     """
     if len(order) != g.n:
         raise ValueError(f"order has {len(order)} vertices, graph has {g.n}")
-    nbr = g.neighbor_sets
+    nbr = neighbor_sets(g)
     for p in range(g.n):
         u = order[p]
         for r in range(p + 2, g.n):
@@ -134,7 +139,13 @@ def verify_order(g: Graph, order: Sequence[int]) -> bool:
 
 
 def color_classes_are_forests(g: Graph, colors: Sequence[int]) -> bool:
-    """True iff every color class induces an acyclic subgraph."""
+    """True iff every color class induces an acyclic subgraph; raises
+    ValueError unless `colors` gives every vertex a color."""
+    if len(colors) != g.n:
+        raise ValueError(f"coloring covers {len(colors)} vertices, graph has {g.n}")
+    for v, c in enumerate(colors):
+        if c is None:
+            raise ValueError(f"vertex {v} is uncolored")
     return first_monochromatic_cycle_edge(g, colors) is None
 
 
@@ -147,22 +158,25 @@ def is_star_free(g: Graph, r: int) -> bool:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
+    nbr = neighbor_sets(g)
     for v in range(g.n):
-        if g.degree(v) >= r and _independent_subset_exists(g, list(g.adj[v]), r):
+        if g.degree(v) >= r and _independent_subset_exists(nbr, list(g.adj[v]), r):
             return False
     return True
 
 
-def _independent_subset_exists(g: Graph, candidates: list[int], size: int) -> bool:
+def _independent_subset_exists(
+    nbr: Sequence[frozenset[int]], candidates: list[int], size: int
+) -> bool:
     if size == 0:
         return True
     if len(candidates) < size:
         return False
     head, rest = candidates[0], candidates[1:]
-    compatible = [w for w in rest if w not in g.neighbor_sets[head]]
-    if _independent_subset_exists(g, compatible, size - 1):
+    compatible = [w for w in rest if w not in nbr[head]]
+    if _independent_subset_exists(nbr, compatible, size - 1):
         return True
-    return _independent_subset_exists(g, rest, size)
+    return _independent_subset_exists(nbr, rest, size)
 
 
 def detect_kind(path) -> str:

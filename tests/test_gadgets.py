@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement
 
@@ -245,10 +246,19 @@ class TestLayoutKind:
         assert layout.kind == "interval"
         assert replace(layout, rep=None).kind == "split"
 
-    def test_interval_validation_builds_no_neighbor_sets(self):
-        layout = build_interval_gadget(BinPackingInstance((2, 1), 3, 1))
-        validate_layout(layout)
-        assert "neighbor_sets" not in vars(layout.graph)
+
+class TestValidateLayoutMemory:
+    def test_interval_validation_peaks_below_4_mb(self):
+        # n = 9,900 and m = 31,485: one set of the graph's edge tuples takes
+        # about 3.8 MB, so the bound leaves no room for two of them.
+        layout = build_interval_gadget(BinPackingInstance((300, 300, 300), 3, 300))
+        tracemalloc.start()
+        try:
+            validate_layout(layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def with_interval(rep, v, lo, hi):
@@ -327,6 +337,18 @@ class TestValidateLayoutRejects:
     def test_missing_label_edge(self, build):
         layout = build(BinPackingInstance((2, 1), 3, 1))
         edges = list(layout.graph.edges())[1:]
+        corrupted = replace(layout, graph=Graph.from_edges(layout.graph.n, edges))
+        with pytest.raises(ConsistencyError, match="label-implied edges"):
+            validate_layout(corrupted)
+
+    @pytest.mark.parametrize("build", [build_split_gadget, build_interval_gadget])
+    @pytest.mark.parametrize("dropped", [0, 1], ids=["added", "swapped"])
+    def test_edge_between_two_parts(self, build, dropped):
+        # Added, only the edge count differs; swapped for a label edge, the
+        # count holds and only the missing label edge differs.
+        layout = build(BinPackingInstance((2, 1), 3, 1))
+        u, v = layout.parts[0].attached[0], layout.parts[1].attached[0]
+        edges = [*list(layout.graph.edges())[dropped:], (u, v)]
         corrupted = replace(layout, graph=Graph.from_edges(layout.graph.n, edges))
         with pytest.raises(ConsistencyError, match="label-implied edges"):
             validate_layout(corrupted)

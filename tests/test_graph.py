@@ -22,6 +22,7 @@ from oracles import (
     forests_by_dfs,
     is_star_free,
     max_clique_bruteforce,
+    neighbor_sets,
     path_rep,
     star_bruteforce,
     verify_order,
@@ -49,6 +50,15 @@ def graphs(draw, max_n=8):
     return Graph.from_edges(n, edges)
 
 
+@st.composite
+def edge_lists(draw, max_n=7):
+    """(n, edges) where an edge may repeat, in either orientation."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []
+    return n, edges
+
+
 class TestIntervalRep:
     def test_rejects_reversed_endpoints(self):
         with pytest.raises(RepresentationError, match="vertex 0"):
@@ -70,6 +80,35 @@ class TestIntervalRep:
         rep = IntervalRep(((1, 4, 5), (0, 0, 2)))
         assert rep.lefts == (0, 4) and rep.rights == (2, 5)
         assert rep.lefts[1] == 4 and rep.rights[1] == 5
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize(
+        "edge, message",
+        [((1, 1), "self-loop"), ((0, 3), "out of range"), ((-1, 2), "out of range")],
+    )
+    def test_rejects_bad_edges(self, edge, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(3, [(0, 1), edge])
+
+    def test_repeated_edge_kept_once(self):
+        g = Graph.from_edges(4, [(2, 0), (0, 2), (2, 0), (1, 2)])
+        assert g.adj == ((2,), (2,), (0, 1), ())
+        assert g.m == 2 and list(g.edges()) == [(0, 2), (1, 2)]
+
+    def test_isolated_vertices_get_empty_tuples(self):
+        assert Graph.from_edges(3, []).adj == ((), (), ())
+        assert Graph.from_edges(3, [(0, 2)]).adj[1] == ()
+
+    @given(edge_lists())
+    def test_has_edge_matches_adjacency(self, case):
+        n, edges = case
+        g = Graph.from_edges(n, edges)
+        pairs = {frozenset(e) for e in edges}
+        for u in range(n):
+            assert g.adj[u] == tuple(v for v in range(n) if frozenset((u, v)) in pairs)
+            for v in range(n):
+                assert g.has_edge(u, v) == (v in set(g.adj[u]))
 
 
 class TestDeriveGraph:
@@ -98,10 +137,11 @@ class TestDeriveGraph:
     @given(interval_reps())
     def test_adjacency_symmetric_and_loop_free(self, rep):
         g = derive_graph(rep)
+        nbr = neighbor_sets(g)
         for u in range(g.n):
-            assert u not in g.neighbor_sets[u]
+            assert u not in nbr[u]
             for v in g.adj[u]:
-                assert u in g.neighbor_sets[v]
+                assert u in nbr[v]
         assert g.m == sum(len(a) for a in g.adj) // 2
 
 
