@@ -108,14 +108,14 @@ def cmd_color(args) -> tuple[int, RunReport]:
 
 def cmd_decide(args) -> tuple[int, RunReport]:
     rep = formats.parse_intervals(args.intervals)
-    answer, certificate = decide_proper_interval(rep, args.k)
+    answer, certificate, omega = decide_proper_interval(rep, args.k)
     report = RunReport(
         "decide",
         answer="YES" if answer else "NO",
         statistics={
             "n": rep.n,
             "m": interval_edge_stats(rep)[0],
-            "omega": max_clique_sweep(rep),
+            "omega": omega,
             "k": args.k,
         },
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import (
@@ -156,9 +157,10 @@ def round_robin_color(rep: IntervalRep, k: int) -> Coloring:
 
 def decide_proper_interval(
     rep: IntervalRep, k: int
-) -> tuple[bool, Coloring | None]:
+) -> tuple[bool, Coloring | None, int]:
     """Decide whether a proper representation admits an equitable
-    tree-k-coloring; on YES the round-robin coloring is the certificate.
+    tree-k-coloring. Returns the answer, the round-robin coloring as the
+    certificate on YES (else None), and the clique number omega.
 
     Two independent routes, neither of which builds the graph: the clique
     test (feasible iff the clique number is at most 2k), and round-robin
@@ -170,12 +172,13 @@ def decide_proper_interval(
         raise ProperContainmentError(*pair)
     coloring = round_robin_color(rep, k)
     cycle_free = first_monochromatic_triangle_edge(rep, coloring.colors) is None
-    clique_small = k >= proper_min_k(max_clique_sweep(rep))
+    omega = max_clique_sweep(rep)
+    clique_small = k >= proper_min_k(omega)
     if cycle_free != clique_small:
         raise ConsistencyError(
             f"cycle scan says {cycle_free} but clique bound says {clique_small}"
         )
-    return (cycle_free, coloring if cycle_free else None)
+    return (cycle_free, coloring if cycle_free else None, omega)
 
 
 class _RollbackUnionFind:
@@ -203,9 +206,6 @@ class _RollbackUnionFind:
         self.size[ra] += self.size[rb]
         self.trail.append((ra, rb))
         return True
-
-    def mark(self) -> int:
-        return len(self.trail)
 
     def rewind(self, mark: int) -> None:
         while len(self.trail) > mark:
@@ -241,77 +241,77 @@ def exact_solve(
     floor_size, enlarged = divmod(n, k)
     cap = floor_size + 1 if enlarged else floor_size
 
-    prior_neighbors = [[u for u in g.adj[v] if u < v] for v in range(n)]
+    prior_neighbors = [a[: bisect_left(a, v)] for v, a in enumerate(g.adj)]
     # Positions p where no edge joins {0..p-1} to {p..n-1}: the union-find
     # state cannot influence the remainder, so failures there depend only on
-    # the multiset of class sizes.
-    cut_point = [False] * n
-    reach = -1
-    for v in range(n):
-        if v > 0 and reach < v:
-            cut_point[v] = True
-        reach = max(reach, max(g.adj[v], default=-1))
-    failed_profiles: dict[int, set[tuple[int, ...]]] = {
-        v: set() for v in range(n) if cut_point[v]
-    }
+    # the multiset of class sizes. That multiset sums to p, so one set of
+    # profiles serves every cut point.
+    cut_point = bytearray(n)
+    reach = 0
+    for v, a in enumerate(g.adj):
+        cut_point[v] = reach < v
+        if a and a[-1] > reach:
+            reach = a[-1]
+    failed_profiles: set[tuple[int, ...]] = set()
 
-    colors = [-1] * n
+    colors = [0] * n
     counts = [0] * k
+    marks = [0] * n
     deficit = floor_size * k
-    full = 0
-    opened = 0
-    ticks = 0
+    full = opened = ticks = 0
     dsu = _RollbackUnionFind(n)
+    union, rewind, trail = dsu.union, dsu.rewind, dsu.trail
 
-    def search(v: int) -> bool:
-        nonlocal deficit, full, opened, ticks
-        if v == n:
-            return True
-        if deadline is not None:
-            if ticks & 255 == 0 and time.monotonic() > deadline:
-                raise SolveTimeout(f"no verdict within {time_limit}s")
+    # One loop, no recursion: the arrays hold the whole search state. Below
+    # the position v, colors[v] is the class of v; the search resumes at v
+    # with the first class c not yet tried, and c == 0 marks a first visit.
+    v = c = 0
+    while True:
+        if c == 0:
             ticks += 1
-        profile = None
-        if cut_point[v]:
-            profile = tuple(sorted(counts))
-            if profile in failed_profiles[v]:
-                return False
+            if deadline is not None and ticks & 255 == 1 and time.monotonic() > deadline:
+                raise SolveTimeout(f"no verdict within {time_limit}s")
+            if cut_point[v] and tuple(sorted(counts)) in failed_profiles:
+                c = k
+        top = opened + 1 if opened < k else k
         remaining = n - v - 1
-        for c in range(min(opened + 1, k)):
+        for c in range(c, top):
             count = counts[c]
-            if count + 1 > cap:
-                continue
-            if enlarged and count + 1 == cap and full == enlarged:
+            if count >= cap or (enlarged and count + 1 == cap and full == enlarged):
                 continue
             fills_floor = count < floor_size
             if deficit - fills_floor > remaining:
                 continue
-            mark = dsu.mark()
-            acyclic = True
+            mark = len(trail)
             for u in prior_neighbors[v]:
-                if colors[u] == c and not dsu.union(u, v):
-                    acyclic = False
+                if colors[u] == c and not union(u, v):
+                    rewind(mark)
                     break
-            if acyclic:
-                colors[v] = c
-                counts[c] = count + 1
-                deficit -= fills_floor
-                became_full = enlarged and counts[c] == cap
-                became_open = c == opened
-                full += became_full
-                opened += became_open
-                if search(v + 1):
-                    return True
-                opened -= became_open
-                full -= became_full
-                deficit += fills_floor
-                counts[c] = count
-                colors[v] = -1
-            dsu.rewind(mark)
-        if profile is not None:
-            failed_profiles[v].add(profile)
-        return False
-
-    if search(0):
-        return Coloring(tuple(colors), k)
-    return None
+            else:
+                break
+        else:
+            # No class fits v: undo v - 1 and resume it at its next class.
+            if cut_point[v]:
+                failed_profiles.add(tuple(sorted(counts)))
+            if v == 0:
+                return None
+            v -= 1
+            c = colors[v]
+            count = counts[c] - 1
+            counts[c] = count
+            deficit += count < floor_size
+            full -= enlarged and count + 1 == cap
+            opened -= count == 0
+            rewind(marks[v])
+            c += 1
+            continue
+        colors[v] = c
+        counts[c] = count + 1
+        marks[v] = mark
+        deficit -= fills_floor
+        full += enlarged and count + 1 == cap
+        opened += count == 0
+        v += 1
+        if v == n:
+            return Coloring(tuple(colors), k)
+        c = 0

@@ -62,36 +62,34 @@ def solve_bin_packing(inst: BinPackingInstance) -> list[list[int]] | None:
     """Exact packing as a list of bins_count item-index lists, each summing to
     the capacity, or None.
 
-    Backtracking over items in descending size order; bins whose current load
-    equals one already tried for the item are skipped (they are
-    interchangeable), so the first solution found is deterministic.
+    Backtracking over items in descending size order, as one loop over the
+    array `bin_at` of each placed item's bin. A bin whose current load equals
+    that of an earlier bin is skipped (they are interchangeable), so the
+    first solution found is deterministic.
     """
     order = sorted(range(inst.n), key=lambda j: (-inst.items[j], j))
     loads = [0] * inst.bins
-    bins: list[list[int]] = [[] for _ in range(inst.bins)]
-
-    def place(t: int) -> bool:
-        if t == inst.n:
-            return True
-        j = order[t]
-        size = inst.items[j]
-        tried = set()
-        for i in range(inst.bins):
+    bin_at = [0] * inst.n
+    t = i = 0
+    while t < inst.n:
+        size = inst.items[order[t]]
+        for i in range(i, inst.bins):
             load = loads[i]
-            if load in tried or load + size > inst.capacity:
-                continue
-            tried.add(load)
-            loads[i] = load + size
-            bins[i].append(j)
-            if place(t + 1):
-                return True
-            loads[i] = load
-            bins[i].pop()
-        return False
-
-    if place(0):
-        return [sorted(b) for b in bins]
-    return None
+            if load + size <= inst.capacity and load not in loads[:i]:
+                break
+        else:
+            if t == 0:
+                return None
+            t -= 1
+            i = bin_at[t]
+            loads[i] -= inst.items[order[t]]
+            i += 1
+            continue
+        loads[i] = load + size
+        bin_at[t] = i
+        t += 1
+        i = 0
+    return [sorted(j for j, b in zip(order, bin_at) if b == i) for i in range(inst.bins)]
 
 
 @dataclass(frozen=True)

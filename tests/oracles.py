@@ -8,13 +8,23 @@ cliques via networkx's enumeration or by intersecting neighbor sets. The
 checks with superlinear cost that the tests hold the library to
 (`verify_order`, `is_star_free`) live here too, with
 `color_classes_are_forests` and `detect_kind`, which no library code calls.
+The recursive forms of the two exhaustive solvers (`exact_solve_recursive`,
+`solve_bin_packing_recursive`) are the references that the library's loops
+must match solution for solution.
 """
 
 from itertools import combinations, product
 from pathlib import Path
 from typing import Sequence
 
-from treecolor import Graph, IntervalRep, first_monochromatic_cycle_edge
+from treecolor import (
+    BinPackingInstance,
+    Coloring,
+    Graph,
+    IntervalRep,
+    first_monochromatic_cycle_edge,
+)
+from treecolor.coloring import _RollbackUnionFind
 from treecolor.formats import ParseError
 
 
@@ -186,3 +196,112 @@ def detect_kind(path) -> str:
         if tokens:
             return tokens[0]
     raise ParseError(1, "empty file")
+
+
+def exact_solve_recursive(g: Graph, k: int) -> Coloring | None:
+    """`exact_solve` as one recursive call per vertex, with each level's
+    state in the closure's locals; same canonical order, same first
+    solution. Recurses n deep, so only for small graphs."""
+    n = g.n
+    if n == 0:
+        return Coloring((), k)
+    floor_size, enlarged = divmod(n, k)
+    cap = floor_size + 1 if enlarged else floor_size
+
+    prior_neighbors = [[u for u in g.adj[v] if u < v] for v in range(n)]
+    cut_point = [False] * n
+    reach = -1
+    for v in range(n):
+        if v > 0 and reach < v:
+            cut_point[v] = True
+        reach = max(reach, max(g.adj[v], default=-1))
+    failed_profiles: dict[int, set[tuple[int, ...]]] = {
+        v: set() for v in range(n) if cut_point[v]
+    }
+
+    colors = [-1] * n
+    counts = [0] * k
+    deficit = floor_size * k
+    full = 0
+    opened = 0
+    dsu = _RollbackUnionFind(n)
+
+    def search(v: int) -> bool:
+        nonlocal deficit, full, opened
+        if v == n:
+            return True
+        profile = None
+        if cut_point[v]:
+            profile = tuple(sorted(counts))
+            if profile in failed_profiles[v]:
+                return False
+        remaining = n - v - 1
+        for c in range(min(opened + 1, k)):
+            count = counts[c]
+            if count + 1 > cap:
+                continue
+            if enlarged and count + 1 == cap and full == enlarged:
+                continue
+            fills_floor = count < floor_size
+            if deficit - fills_floor > remaining:
+                continue
+            mark = len(dsu.trail)
+            acyclic = True
+            for u in prior_neighbors[v]:
+                if colors[u] == c and not dsu.union(u, v):
+                    acyclic = False
+                    break
+            if acyclic:
+                colors[v] = c
+                counts[c] = count + 1
+                deficit -= fills_floor
+                became_full = enlarged and counts[c] == cap
+                became_open = c == opened
+                full += became_full
+                opened += became_open
+                if search(v + 1):
+                    return True
+                opened -= became_open
+                full -= became_full
+                deficit += fills_floor
+                counts[c] = count
+                colors[v] = -1
+            dsu.rewind(mark)
+        if profile is not None:
+            failed_profiles[v].add(profile)
+        return False
+
+    if search(0):
+        return Coloring(tuple(colors), k)
+    return None
+
+
+def solve_bin_packing_recursive(inst: BinPackingInstance) -> list[list[int]] | None:
+    """`solve_bin_packing` as one recursive call per item, skipping for each
+    item the bins whose load was already tried; same first packing."""
+    order = sorted(range(inst.n), key=lambda j: (-inst.items[j], j))
+    loads = [0] * inst.bins
+    bins: list[list[int]] = [[] for _ in range(inst.bins)]
+
+    def place(t: int) -> bool:
+        if t == inst.n:
+            return True
+        j = order[t]
+        size = inst.items[j]
+        tried = set()
+        for i in range(inst.bins):
+            load = loads[i]
+            if load in tried or load + size > inst.capacity:
+                continue
+            tried.add(load)
+            loads[i] = load + size
+            bins[i].append(j)
+            if place(t + 1):
+                return True
+            loads[i] = load
+            bins[i].pop()
+        return False
+
+    if place(0):
+        return [sorted(b) for b in bins]
+    return None

@@ -239,6 +239,20 @@ class TestSolve:
         code, _, err = run(capsys, ["solve", str(bad), "--k", "1"])
         assert code == 1 and "line 2" in err
 
+    @pytest.mark.parametrize(
+        "text, k",
+        [
+            ("graph 1500 1499\n" + "".join(f"{v} {v + 1}\n" for v in range(1499)), 1),
+            ("graph 1000 0\n", 495),
+        ],
+        ids=["path-1500", "edgeless-1000"],
+    )
+    def test_search_deeper_than_the_recursion_limit(self, capsys, tmp_path, text, k):
+        path = tmp_path / "deep.graph"
+        path.write_text(text)
+        code, out, err = run(capsys, ["solve", str(path), "--k", str(k)])
+        assert (code, stats(out)["answer"], err) == (0, "YES", "")
+
 
 class TestGen:
     def packing_file(self, tmp_path, items, k, capacity):

@@ -20,8 +20,17 @@ from treecolor import (
     verify_equitable_tree_coloring,
 )
 
-from oracles import equal_intervals_rep, path_rep
+from oracles import equal_intervals_rep, exact_solve_recursive, path_rep
 from test_graph import graphs, interval_reps
+
+
+@st.composite
+def graphs_pair_by_pair(draw, max_n):
+    """Each vertex pair is an edge on its own draw, so dense graphs, where the
+    exhaustive search backtracks most, are as likely as sparse ones."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
 
 
 class TestColoring:
@@ -130,8 +139,8 @@ class TestRoundRobin:
 class TestDecide:
     def test_complete_graph_needs_half_its_size(self):
         rep = equal_intervals_rep(4)
-        assert decide_proper_interval(rep, 1) == (False, None)
-        answer, cert = decide_proper_interval(rep, 2)
+        assert decide_proper_interval(rep, 1) == (False, None, 4)
+        answer, cert, _ = decide_proper_interval(rep, 2)
         assert answer and sorted(cert.class_sizes()) == [2, 2]
         assert verify_equitable_tree_coloring(derive_graph(rep), cert).ok
 
@@ -151,7 +160,8 @@ class TestDecide:
         rep = gen_random_interval(n, 40, seed=seed, proper=True)
         g = derive_graph(rep)
         for k in range(1, 5):
-            answer, cert = decide_proper_interval(rep, k)
+            answer, cert, omega = decide_proper_interval(rep, k)
+            assert omega == max_clique_sweep(rep)
             assert answer == (exact_solve(g, k) is not None)
             if answer:
                 assert verify_equitable_tree_coloring(g, cert).ok
@@ -208,6 +218,12 @@ class TestExactSolve:
     def test_feasibility_monotone_in_k(self, g, k):
         if exact_solve(g, k) is not None:
             assert exact_solve(g, k + 1) is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_pair_by_pair(max_n=10))
+    def test_same_first_solution_as_recursive_search(self, g):
+        for k in range(1, g.n + 2):
+            assert exact_solve(g, k) == exact_solve_recursive(g, k), k
 
 
 class TestAlgorithmInternalConsistency:

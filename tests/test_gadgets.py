@@ -34,6 +34,7 @@ from oracles import (
     is_star_free,
     maximal_cliques_networkx,
     packing_feasible_bruteforce,
+    solve_bin_packing_recursive,
     star_bruteforce,
 )
 
@@ -100,6 +101,22 @@ class TestSolveBinPacking:
     def test_deterministic(self):
         inst = BinPackingInstance((4, 3, 3, 2, 2, 2), 4, 4)
         assert solve_bin_packing(inst) == solve_bin_packing(inst)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=8), st.integers(1, 5))
+    def test_same_first_packing_as_recursive_search(self, items, bins):
+        # Pad the total to a multiple of bins, as an instance must have.
+        pad = -sum(items) % bins
+        if pad and len(items) < 8:
+            items.append(pad)
+        else:
+            items[-1] += pad
+        inst = BinPackingInstance(tuple(items), bins, sum(items) // bins)
+        assert solve_bin_packing(inst) == solve_bin_packing_recursive(inst)
+
+    def test_depth_is_not_bounded_by_recursion_limit(self):
+        inst = BinPackingInstance((1,) * 5000, 1, 5000)
+        assert solve_bin_packing(inst) == [list(range(5000))]
 
 
 class TestSplitGadget:
