@@ -17,6 +17,7 @@ from .coloring import (
     guaranteed_k,
     proper_min_k,
     round_robin_color,
+    solve_intervals,
     verify_equitable_tree_coloring,
     verify_interval_coloring,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "proper_min_k",
     "round_robin_color",
     "solve_bin_packing",
+    "solve_intervals",
     "validate_layout",
     "verify_equitable_tree_coloring",
     "verify_interval_coloring",

@@ -26,6 +26,7 @@ from .coloring import (
     guaranteed_k,
     proper_min_k,
     round_robin_color,
+    solve_intervals,
     verify_equitable_tree_coloring,
     verify_interval_coloring,
 )
@@ -157,10 +158,14 @@ def cmd_verify(args) -> tuple[int, RunReport]:
 
 
 def cmd_solve(args) -> tuple[int, RunReport]:
-    g = formats.load_graph(args.graph)
-    report = RunReport("solve", statistics={"n": g.n, "m": g.m, "k": args.k})
+    source = formats.parse_graph_or_intervals(args.graph)
+    if isinstance(source, IntervalRep):
+        m, solve = interval_edge_stats(source)[0], solve_intervals
+    else:
+        m, solve = source.m, exact_solve
+    report = RunReport("solve", statistics={"n": source.n, "m": m, "k": args.k})
     try:
-        coloring = exact_solve(g, args.k, time_limit=args.timeout)
+        coloring = solve(source, args.k, time_limit=args.timeout)
     except SolveTimeout:
         report.answer = "TIMEOUT"
         report.statistics["timeout"] = args.timeout
@@ -301,10 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve", help="exhaustive search on a small instance")
+    p = sub.add_parser(
+        "solve",
+        help="YES/NO for any graph or intervals file",
+        description="Solve a graph file by exhaustive search. An intervals file is "
+        "answered NO when more than 2k intervals share a point, YES when the "
+        "round-robin coloring verifies, and only otherwise searched.",
+    )
     p.add_argument("graph", help="graph or intervals file")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--timeout", type=_timeout_seconds, help="seconds before giving up (exit 3)")
+    p.add_argument(
+        "--timeout", type=_timeout_seconds,
+        help="seconds the exhaustive search may take before giving up (exit 3)",
+    )
     p.add_argument("--out", help="write the coloring on YES")
     add_common(p)
     p.set_defaults(func=cmd_solve)

@@ -3,8 +3,9 @@
 A coloring with k classes is an equitable tree-coloring when every class
 induces a forest and any two class sizes differ by at most one. This module
 holds the verifier, the round-robin construction along the interval order,
-the decision procedure for proper representations, and an exhaustive solver
-used as the ground-truth oracle.
+the decision procedure for proper representations, an exhaustive solver
+used as the ground-truth oracle, and the bound-first solver for interval
+representations that calls it only when both bounds leave the answer open.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from .graph import (
     Graph,
     IntervalRep,
     ProperContainmentError,
+    derive_graph,
     find_proper_containment,
     first_monochromatic_cycle_edge,
     first_monochromatic_triangle_edge,
+    interval_edge_stats,
     interval_order,
     max_clique_sweep,
 )
@@ -315,3 +318,30 @@ def exact_solve(
         if v == n:
             return Coloring(tuple(colors), k)
         c = 0
+
+
+def solve_intervals(
+    rep: IntervalRep, k: int, *, time_limit: float | None = None
+) -> Coloring | None:
+    """An equitable tree-k-coloring of the intervals' graph, or None, by the
+    paper's two bounds first and the exhaustive search only between them.
+
+    A clique of more than 2k intervals puts three of them in one class, a
+    triangle, so the answer is NO. Otherwise the round-robin coloring is
+    returned when the sweep verifies it; from k >= guaranteed_k(max_degree)
+    on it always does, and a failure there raises ConsistencyError. Only
+    below that threshold does `exact_solve` run on the derived graph, and
+    time_limit bounds only that search (SolveTimeout when it elapses).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if max_clique_sweep(rep) > 2 * k:
+        return None
+    coloring = round_robin_color(rep, k)
+    if verify_interval_coloring(rep, coloring).ok:
+        return coloring
+    if k >= guaranteed_k(interval_edge_stats(rep)[1]):
+        raise ConsistencyError(
+            f"round robin fails at k={k}, at or above the guaranteed threshold"
+        )
+    return exact_solve(derive_graph(rep), k, time_limit=time_limit)

@@ -11,6 +11,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Collection, Iterable, Iterator, Sequence
 
 
@@ -177,6 +178,15 @@ def find_proper_containment(rep: IntervalRep) -> tuple[int, int] | None:
     """Return (outer, inner) where outer's interval properly contains inner's,
     or None. Identical intervals do not count as containment."""
     order, lefts, rights = rep.order, rep.ordered_lefts, rep.rights
+    # Proper iff the rights in interval order are sorted too and two
+    # neighbours in that order share their left exactly when they share
+    # their right; both checks run without a Python loop. Only a rep that
+    # fails them is walked, for the pair the walk reports.
+    eq, ordered_rights = operator.eq, tuple(map(rights.__getitem__, order))
+    same_lefts = map(eq, lefts, islice(lefts, 1, None))
+    same_rights = map(eq, ordered_rights, islice(ordered_rights, 1, None))
+    if ordered_rights == rep.sorted_rights and all(map(eq, same_lefts, same_rights)):
+        return None
     reach = None  # (right, vertex) reaching furthest among strictly smaller lefts
     p = 0
     while p < len(order):

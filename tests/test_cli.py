@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 import treecolor.cli
-from treecolor import ConsistencyError, derive_graph, exact_solve, gen_random_interval
+import treecolor.coloring
+from treecolor import (
+    Coloring,
+    ConsistencyError,
+    derive_graph,
+    exact_solve,
+    gen_random_interval,
+)
 from treecolor.cli import main
 from treecolor.formats import (
     load_graph,
@@ -16,6 +23,7 @@ from treecolor.formats import (
     parse_graph,
     parse_intervals,
     parse_labels,
+    write_graph,
     write_intervals,
 )
 
@@ -33,6 +41,13 @@ def k4_file(tmp_path):
 def k6_file(tmp_path):
     path = tmp_path / "k6.intervals"
     write_intervals(path, equal_intervals_rep(6))
+    return str(path)
+
+
+@pytest.fixture
+def k6_graph_file(tmp_path):
+    path = tmp_path / "k6.graph"
+    write_graph(path, derive_graph(equal_intervals_rep(6)))
     return str(path)
 
 
@@ -215,9 +230,36 @@ class TestSolve:
         assert code == 0 and stats(out)["answer"] == "YES"
         assert main(["verify", k6_file, str(out_path)]) == 0
 
-    def test_timeout(self, capsys, k6_file):
-        code, out, _ = run(capsys, ["solve", k6_file, "--k", "3", "--timeout", "0"])
+    def test_timeout(self, capsys, k6_graph_file):
+        code, out, _ = run(capsys, ["solve", k6_graph_file, "--k", "3", "--timeout", "0"])
         assert code == 3 and stats(out)["answer"] == "TIMEOUT"
+
+    @pytest.mark.parametrize("k, code, answer", [(3, 0, "YES"), (2, 2, "NO")])
+    def test_bounds_answer_intervals_before_the_timeout(self, capsys, k6_file, k, code, answer):
+        # K6 at k = 3 is round robin's guaranteed_k(5); at k = 2, omega = 6 > 2k.
+        got, out, err = run(capsys, ["solve", k6_file, "--k", str(k), "--timeout", "0"])
+        assert (got, stats(out)["answer"], err) == (code, answer, "")
+
+    def test_intervals_between_the_bounds_still_search(self, capsys, tmp_path):
+        # omega = 8 <= 2k, round robin fails and k < guaranteed_k(13) = 7: only
+        # the exhaustive search can answer, so --timeout 0 ends it.
+        path = tmp_path / "window.intervals"
+        write_intervals(path, gen_random_interval(16, 64, 0))
+        code, out, _ = run(capsys, ["solve", str(path), "--k", "4", "--timeout", "0"])
+        assert code == 3 and stats(out)["answer"] == "TIMEOUT"
+        code, out, _ = run(capsys, ["solve", str(path), "--k", "4"])
+        assert code == 0 and stats(out)["answer"] == "YES"
+
+    def test_round_robin_failing_above_its_threshold_exits_4(
+        self, capsys, monkeypatch, k4_file
+    ):
+        # k = 2 is guaranteed_k(3) on K4, and omega = 4 passes the clique bound.
+        monkeypatch.setattr(
+            treecolor.coloring, "round_robin_color", lambda rep, k: Coloring((0,) * rep.n, k)
+        )
+        code, out, err = run(capsys, ["solve", k4_file, "--k", "2"])
+        assert code == 4 and out == ""
+        assert err.startswith("error: internal consistency check failed: ")
 
     @pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf", "-inf", "ten"])
     def test_timeout_must_be_finite_and_non_negative(self, capsys, k6_file, value):
@@ -510,6 +552,23 @@ class TestSweepRoute:
         for argv, expected in cases:
             code, _, err = run(capsys, argv)
             assert (argv, code, err) == (argv, expected, "")
+
+    def test_solve_bounds_never_search(self, capsys, monkeypatch, tmp_path, k6_file):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve searched although a bound answers")
+
+        monkeypatch.setattr(treecolor.coloring, "derive_graph", refuse)
+        monkeypatch.setattr(treecolor.coloring, "exact_solve", refuse)
+        monkeypatch.setattr(treecolor.cli, "exact_solve", refuse)
+        out_path = tmp_path / "c.coloring"
+        cases = [
+            (["solve", k6_file, "--k", "2"], 2, "NO"),
+            (["solve", k6_file, "--k", "3", "--out", str(out_path)], 0, "YES"),
+        ]
+        for argv, expected, answer in cases:
+            code, out, err = run(capsys, argv)
+            assert (argv, code, stats(out)["answer"], err) == (argv, expected, answer, "")
+        assert parse_coloring(out_path).class_sizes() == [2, 2, 2]
 
     def test_consistency_error_has_its_own_exit_code(self, capsys, monkeypatch, k4_file):
         def disagree(rep, k):

@@ -17,20 +17,13 @@ from treecolor import (
     max_clique_sweep,
     proper_min_k,
     round_robin_color,
+    solve_intervals,
     verify_equitable_tree_coloring,
+    verify_interval_coloring,
 )
 
 from oracles import equal_intervals_rep, exact_solve_recursive, path_rep
 from test_graph import graphs, interval_reps
-
-
-@st.composite
-def graphs_pair_by_pair(draw, max_n):
-    """Each vertex pair is an edge on its own draw, so dense graphs, where the
-    exhaustive search backtracks most, are as likely as sparse ones."""
-    n = draw(st.integers(0, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
 
 
 class TestColoring:
@@ -220,10 +213,27 @@ class TestExactSolve:
             assert exact_solve(g, k + 1) is not None
 
     @settings(max_examples=150, deadline=None)
-    @given(graphs_pair_by_pair(max_n=10))
+    @given(graphs(max_n=10))
     def test_same_first_solution_as_recursive_search(self, g):
         for k in range(1, g.n + 2):
             assert exact_solve(g, k) == exact_solve_recursive(g, k), k
+
+
+class TestSolveIntervals:
+    @settings(max_examples=120, deadline=None)
+    @given(interval_reps(max_n=10))
+    def test_same_answer_as_exhaustive_solver(self, rep):
+        g = derive_graph(rep)
+        for k in range(1, rep.n + 2):
+            c = solve_intervals(rep, k)
+            assert (c is None) == (exact_solve(g, k) is None), k
+            if c is not None:
+                assert verify_interval_coloring(rep, c).ok
+                assert verify_equitable_tree_coloring(g, c).ok
+
+    def test_rejects_bad_k(self):
+        with pytest.raises(ValueError):
+            solve_intervals(path_rep(3), 0)
 
 
 class TestAlgorithmInternalConsistency:
