@@ -28,7 +28,6 @@ from .gadgets import (
     SplitPart,
     build_interval_gadget,
     build_split_gadget,
-    chain_clique_sequence,
     coloring_from_packing,
     gen_random_interval,
     packing_from_coloring,
@@ -68,7 +67,6 @@ __all__ = [
     "Verdict",
     "build_interval_gadget",
     "build_split_gadget",
-    "chain_clique_sequence",
     "coloring_from_packing",
     "decide_proper_interval",
     "derive_graph",

@@ -254,6 +254,28 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError instead of exiting. An option given before a
+    subcommand (the command, or gen's kind) is named in the error, where
+    argparse names the option's value, which it took for the subcommand."""
+
+    subcommand = None
+
+    def add_subparsers(self, **kwargs):
+        self.subcommand = kwargs["dest"]
+        return super().add_subparsers(**kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        try:
+            return super().parse_known_args(args, namespace)
+        except _UsageError as exc:
+            name = self.subcommand
+            wrong_choice = str(exc).startswith(f"argument {name}: invalid choice")
+            if wrong_choice and args[0].startswith("-"):
+                option = args[0].partition("=")[0]
+                self.error(f"{option} given before the {name}; the {name} comes first")
+            raise
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -317,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument(
         "--timeout", type=_timeout_seconds,
-        help="seconds the exhaustive search may take before giving up (exit 3)",
+        help="seconds from the start, the graph derivation included, after which "
+        "the exhaustive search gives up (exit 3); the derivation is not interrupted",
     )
     p.add_argument("--out", help="write the coloring on YES")
     add_common(p)

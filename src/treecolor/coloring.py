@@ -76,12 +76,6 @@ class Coloring:
             sizes[c] += 1
         return sizes
 
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for v, c in enumerate(self.colors):
-            out[c].append(v)
-        return out
-
 
 IMBALANCE = "imbalance"
 MONOCHROMATIC_CYCLE = "monochromatic_cycle"
@@ -273,7 +267,7 @@ def exact_solve(
         if c == 0:
             ticks += 1
             if deadline is not None and ticks & 255 == 1 and time.monotonic() > deadline:
-                raise SolveTimeout(f"no verdict within {time_limit}s")
+                raise SolveTimeout("no verdict within the time limit")
             if cut_point[v] and tuple(sorted(counts)) in failed_profiles:
                 c = k
         top = opened + 1 if opened < k else k
@@ -330,9 +324,13 @@ def solve_intervals(
     triangle, so the answer is NO. Otherwise the round-robin coloring is
     returned when the sweep verifies it; from k >= guaranteed_k(max_degree)
     on it always does, and a failure there raises ConsistencyError. Only
-    below that threshold does `exact_solve` run on the derived graph, and
-    time_limit bounds only that search (SolveTimeout when it elapses).
+    below that threshold does `exact_solve` run on the derived graph.
+
+    time_limit counts from the call, so the bounds and the graph derivation
+    spend it too, but only the search is interrupted: SolveTimeout is raised
+    there, at once when the derivation has used up the time.
     """
+    start = time.monotonic()
     if k < 1:
         raise ValueError("k must be >= 1")
     if max_clique_sweep(rep) > 2 * k:
@@ -344,4 +342,7 @@ def solve_intervals(
         raise ConsistencyError(
             f"round robin fails at k={k}, at or above the guaranteed threshold"
         )
-    return exact_solve(derive_graph(rep), k, time_limit=time_limit)
+    g = derive_graph(rep)
+    if time_limit is not None:
+        time_limit = max(0.0, time_limit - (time.monotonic() - start))
+    return exact_solve(g, k, time_limit=time_limit)

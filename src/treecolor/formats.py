@@ -10,10 +10,11 @@ line is a header naming the format, and all ids and colors are 0-based.
     binpacking <n> <k> <B>  then n lines  <item-size>
     labels <kind>        then lines    <part-name> <vertex ids...>
 
-A counted file is read in one pass: each row goes, as it is read, to the
-parser or the type that owns its rules. A parser checks only the rules that
-exist in files alone (a graph row has u < v and appears once; a coloring
-file lists each vertex once); the types check every other value.
+The package writes labels files but reads none. A counted file is read in
+one pass: each row goes, as it is read, to the parser or the type that owns
+its rules. A parser checks only the rules that exist in files alone (a graph
+row has u < v and appears once; a coloring file lists each vertex once); the
+types check every other value.
 """
 
 from __future__ import annotations
@@ -198,23 +199,6 @@ def parse_binpacking(path) -> BinPackingInstance:
 
 def write_binpacking(path, inst: BinPackingInstance) -> None:
     _write(path, f"binpacking {inst.n} {inst.bins} {inst.capacity}", map(str, inst.items))
-
-
-def parse_labels(path) -> tuple[str, dict[str, tuple[int, ...]]]:
-    lines = _data_lines(Path(path).read_text().splitlines())
-    line_no, tokens = next(lines, (1, None))
-    if tokens is None:
-        raise ParseError(1, "empty file, expected a 'labels' header")
-    if tokens[0] != "labels" or len(tokens) != 2:
-        raise ParseError(line_no, "expected a 'labels <kind>' header")
-    kind = tokens[1]
-    parts: dict[str, tuple[int, ...]] = {}
-    for line_no, tokens in lines:
-        name = tokens[0]
-        if name in parts:
-            raise ParseError(line_no, f"duplicate part name {name!r}")
-        parts[name] = _ints(line_no, tokens[1:])
-    return kind, parts
 
 
 def write_labels(path, layout: GadgetLayout) -> None:

@@ -23,7 +23,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .coloring import Coloring, ConsistencyError, verify_equitable_tree_coloring
 from .graph import Graph, IntervalRep, interval_edge_stats
@@ -233,40 +233,33 @@ def _part_edges(part: SplitPart | ChainPart) -> Iterator[tuple[int, int]]:
                 yield (u, w) if u < w else (w, u)
 
 
-def chain_clique_sequence(part: ChainPart) -> list[frozenset[int]]:
-    """The component's maximal cliques, listed so that every vertex occupies
-    a consecutive run: hub t extends cliques 2t, 2t+1 and 2t+2."""
-    return [frozenset(clique) | {hub} for hub, cliques in part.windows() for clique in cliques]
-
-
 def verify_maximal_clique_order(layout: GadgetLayout) -> bool:
-    """Check, per chain component with a hubs, that the listed cliques are
-    maximal cliques of the intervals' graph, that there are 3a - 1 of them,
-    and that every vertex appears in a consecutive run of the list."""
+    """Check, per chain component with a hubs, that its windows list 3a - 1
+    cliques (each window clique with its hub), that each is a maximal clique
+    of the intervals' graph, and that every vertex appears in a consecutive
+    run of the list."""
     rep = layout.rep
     if rep is None:
         raise ValueError("maximal-clique ordering applies to interval layouts only")
     for part in layout.parts:
-        sequence = chain_clique_sequence(part)
-        if len(sequence) != 3 * len(part.hubs) - 1:
+        last: dict[int, int] = {}  # each vertex's latest clique in the list
+        listed = 0
+        for hub, cliques in part.windows():
+            for clique in cliques:
+                members = (*clique, hub)
+                if not _is_maximal_clique(rep, members):
+                    return False
+                for v in members:
+                    if last.get(v, listed) < listed - 1:
+                        return False  # v's run broke off and v came back
+                    last[v] = listed
+                listed += 1
+        if listed != 3 * len(part.hubs) - 1:
             return False
-        first: dict[int, int] = {}
-        last: dict[int, int] = {}
-        hits: dict[int, int] = {}
-        for idx, clique in enumerate(sequence):
-            if not _is_maximal_clique(rep, clique):
-                return False
-            for v in clique:
-                first.setdefault(v, idx)
-                last[v] = idx
-                hits[v] = hits.get(v, 0) + 1
-        for v, count in hits.items():
-            if count != last[v] - first[v] + 1:
-                return False
     return True
 
 
-def _is_maximal_clique(rep: IntervalRep, vertices: frozenset[int]) -> bool:
+def _is_maximal_clique(rep: IntervalRep, vertices: Collection[int]) -> bool:
     """Intervals pairwise meet iff they share a segment [lo, hi] (Helly), and
     then a vertex meets them all iff it meets that segment, so the members
     are a maximal clique iff the segment is non-empty and they alone meet it.

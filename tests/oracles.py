@@ -7,7 +7,8 @@ all bin assignments, stars by scanning all neighbor r-subsets, maximal
 cliques via networkx's enumeration or by intersecting neighbor sets. The
 checks with superlinear cost that the tests hold the library to
 (`verify_order`, `is_star_free`) live here too, with
-`color_classes_are_forests` and `detect_kind`, which no library code calls.
+`color_classes_are_forests`, `detect_kind`, `parse_labels` and
+`chain_clique_sequence`, which no library code calls.
 The recursive forms of the two exhaustive solvers (`exact_solve_recursive`,
 `solve_bin_packing_recursive`) are the references that the library's loops
 must match solution for solution.
@@ -19,13 +20,14 @@ from typing import Sequence
 
 from treecolor import (
     BinPackingInstance,
+    ChainPart,
     Coloring,
     Graph,
     IntervalRep,
     first_monochromatic_cycle_edge,
 )
 from treecolor.coloring import _RollbackUnionFind
-from treecolor.formats import ParseError
+from treecolor.formats import ParseError, _data_lines, _ints
 
 
 def max_clique_bruteforce(g: Graph) -> int:
@@ -120,6 +122,12 @@ def is_maximal_clique_by_neighbors(g: Graph, vertices: frozenset[int]) -> bool:
     return not common
 
 
+def chain_clique_sequence(part: ChainPart) -> list[frozenset[int]]:
+    """The component's maximal cliques as sets, listed so that every vertex
+    occupies a consecutive run: hub t extends cliques 2t, 2t+1 and 2t+2."""
+    return [frozenset(clique) | {hub} for hub, cliques in part.windows() for clique in cliques]
+
+
 def equal_intervals_rep(n: int) -> IntervalRep:
     """n copies of [0, 1]; derives the complete graph K_n."""
     return IntervalRep(tuple((v, 0, 1) for v in range(n)))
@@ -196,6 +204,25 @@ def detect_kind(path) -> str:
         if tokens:
             return tokens[0]
     raise ParseError(1, "empty file")
+
+
+def parse_labels(path) -> tuple[str, dict[str, tuple[int, ...]]]:
+    """The kind and the named parts of a labels file, which the package
+    writes but never reads."""
+    lines = _data_lines(Path(path).read_text().splitlines())
+    line_no, tokens = next(lines, (1, None))
+    if tokens is None:
+        raise ParseError(1, "empty file, expected a 'labels' header")
+    if tokens[0] != "labels" or len(tokens) != 2:
+        raise ParseError(line_no, "expected a 'labels <kind>' header")
+    kind = tokens[1]
+    parts: dict[str, tuple[int, ...]] = {}
+    for line_no, tokens in lines:
+        name = tokens[0]
+        if name in parts:
+            raise ParseError(line_no, f"duplicate part name {name!r}")
+        parts[name] = _ints(line_no, tokens[1:])
+    return kind, parts
 
 
 def exact_solve_recursive(g: Graph, k: int) -> Coloring | None:

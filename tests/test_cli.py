@@ -22,12 +22,11 @@ from treecolor.formats import (
     parse_coloring,
     parse_graph,
     parse_intervals,
-    parse_labels,
     write_graph,
     write_intervals,
 )
 
-from oracles import equal_intervals_rep
+from oracles import equal_intervals_rep, parse_labels
 
 
 @pytest.fixture
@@ -471,6 +470,10 @@ class TestGen:
             (["random", "--n", "3", "--max-coord", "9"], "required: --out"),
             (["random-proper", "--max-coord", "9", "--out", "r"], "required: --n"),
             (["random-proper", "--n", "3", "--out", "r"], "required: --max-coord"),
+            # A flag before the kind is named, not its value taken for a kind.
+            (["--out", "r", "random", "--n", "3", "--max-coord", "9"],
+             "--out given before the kind; the kind comes first"),
+            (["foo", "--out", "r"], "argument kind: invalid choice: 'foo'"),
         ],
     )
     def test_usage_error_writes_nothing(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -483,6 +486,11 @@ class TestGen:
 
 
 class TestAnalyze:
+    def test_option_before_the_command_is_named(self, capsys, k4_file):
+        code, out, err = run(capsys, ["--format", "json", "analyze", k4_file])
+        assert (code, out) == (1, "")
+        assert err == "error: --format given before the command; the command comes first\n"
+
     def test_complete_graph(self, capsys, k4_file):
         code, out, _ = run(capsys, ["analyze", k4_file])
         assert code == 0

@@ -1,7 +1,11 @@
+import time
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treecolor.coloring
 from treecolor import (
     Coloring,
     Graph,
@@ -21,6 +25,7 @@ from treecolor import (
     verify_equitable_tree_coloring,
     verify_interval_coloring,
 )
+from treecolor.coloring import _RollbackUnionFind
 
 from oracles import equal_intervals_rep, exact_solve_recursive, path_rep
 from test_graph import graphs, interval_reps
@@ -42,7 +47,6 @@ class TestColoring:
     def test_class_bookkeeping(self):
         c = Coloring((0, 1, 0, 2), 3)
         assert c.class_sizes() == [2, 1, 1]
-        assert c.classes() == [[0, 2], [1], [3]]
         assert len(c) == 4 and c[3] == 2 and list(c) == [0, 1, 0, 2]
 
 
@@ -93,7 +97,7 @@ class TestRoundRobin:
     def test_complete_graph_four_vertices(self):
         rep = equal_intervals_rep(4)
         c = round_robin_color(rep, 2)
-        assert c.classes() == [[0, 2], [1, 3]]
+        assert c.colors == (0, 1, 0, 1)
         assert verify_equitable_tree_coloring(derive_graph(rep), c).ok
 
     def test_path_single_color(self):
@@ -199,6 +203,28 @@ class TestExactSolve:
         with pytest.raises(SolveTimeout):
             exact_solve(g, 3, time_limit=0.0)
 
+    def test_failed_profiles_are_not_searched_again(self, monkeypatch):
+        # Disjoint cliques of sizes 3, 3, 3, 3 and 5 at k = 2: the 5-clique
+        # makes the answer NO, and every clique ends at a cut point, where a
+        # class-size profile that failed once is skipped. With the skip the
+        # search makes 150 unions; without it, 25,190.
+        edges, start = [], 0
+        for size in (3, 3, 3, 3, 5):
+            edges += combinations(range(start, start + size), 2)
+            start += size
+        g = Graph.from_edges(start, edges)
+        calls = 0
+        union = _RollbackUnionFind.union
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return union(self, a, b)
+
+        monkeypatch.setattr(_RollbackUnionFind, "union", counted)
+        assert exact_solve(g, 2) is None
+        assert calls <= 1000
+
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_n=7), st.integers(1, 3))
     def test_solutions_always_verify(self, g, k):
@@ -234,6 +260,21 @@ class TestSolveIntervals:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             solve_intervals(path_rep(3), 0)
+
+    def test_time_limit_counts_the_graph_derivation(self, monkeypatch):
+        # Between the two bounds (omega = 8 <= 2k, round robin fails), so
+        # the graph is derived and searched; the search alone takes well
+        # under the limit, but the derivation has spent all of it.
+        rep = gen_random_interval(16, 64, 0)
+        derive = treecolor.coloring.derive_graph
+
+        def slow_derive(rep):
+            time.sleep(0.2)
+            return derive(rep)
+
+        monkeypatch.setattr(treecolor.coloring, "derive_graph", slow_derive)
+        with pytest.raises(SolveTimeout):
+            solve_intervals(rep, 4, time_limit=0.05)
 
 
 class TestAlgorithmInternalConsistency:

@@ -23,8 +23,9 @@ from treecolor.formats import (
     parse_graph,
     parse_graph_or_intervals,
     parse_intervals,
-    parse_labels,
 )
+
+from oracles import parse_labels
 
 # Each parser with the header words it accepts.
 PARSERS = [

@@ -19,7 +19,6 @@ from treecolor.formats import (
     parse_coloring,
     parse_graph,
     parse_intervals,
-    parse_labels,
     write_binpacking,
     write_coloring,
     write_graph,
@@ -27,7 +26,7 @@ from treecolor.formats import (
     write_labels,
 )
 
-from oracles import detect_kind
+from oracles import detect_kind, parse_labels
 
 
 class TestRoundTrips:

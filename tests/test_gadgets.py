@@ -14,7 +14,6 @@ from treecolor import (
     IntervalRep,
     build_interval_gadget,
     build_split_gadget,
-    chain_clique_sequence,
     coloring_from_packing,
     derive_graph,
     exact_solve,
@@ -30,6 +29,7 @@ from treecolor import (
 from treecolor.gadgets import _is_maximal_clique
 
 from oracles import (
+    chain_clique_sequence,
     is_maximal_clique_by_neighbors,
     is_star_free,
     maximal_cliques_networkx,
