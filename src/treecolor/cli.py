@@ -254,30 +254,21 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises _UsageError instead of exiting. An option given before a
-    subcommand (the command, or gen's kind) is named in the error, where
-    argparse names the option's value, which it took for the subcommand."""
-
-    subcommand = None
-
-    def add_subparsers(self, **kwargs):
-        self.subcommand = kwargs["dest"]
-        return super().add_subparsers(**kwargs)
-
-    def parse_known_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else args
-        try:
-            return super().parse_known_args(args, namespace)
-        except _UsageError as exc:
-            name = self.subcommand
-            wrong_choice = str(exc).startswith(f"argument {name}: invalid choice")
-            if wrong_choice and args[0].startswith("-"):
-                option = args[0].partition("=")[0]
-                self.error(f"{option} given before the {name}; the {name} comes first")
-            raise
+    """Raises _UsageError instead of exiting."""
 
     def error(self, message):
         raise _UsageError(message)
+
+
+def _misplaced_option(argv: list[str]) -> str | None:
+    """The usage error for an option typed where a subcommand belongs (the
+    command, or gen's kind after it), or None. Asked only once parsing has
+    failed, in place of whatever argparse made of the misplaced option."""
+    slot, name = (argv[1:2], "kind") if argv[:1] == ["gen"] else (argv[:1], "command")
+    if slot and slot[0].startswith("-") and slot[0] != "--":
+        option = slot[0].partition("=")[0]
+        return f"{option} given before the {name}; the {name} comes first"
+    return None
 
 
 def _positive_int(text: str) -> int:
@@ -302,7 +293,7 @@ def _timeout_seconds(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: it keeps no state between parses."""
     parser = _Parser(prog="treecolor", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -375,10 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_misplaced_option(argv) or exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         code, report = args.func(args)

@@ -99,8 +99,8 @@ def _verdict(n: int, c: Coloring, cycle_edge) -> Verdict:
     if len(c) != n:
         return Verdict(False, UNCOLORED)
     sizes = c.class_sizes()
-    big = max(range(c.k), key=lambda i: sizes[i])
-    small = min(range(c.k), key=lambda i: sizes[i])
+    big = sizes.index(max(sizes))
+    small = sizes.index(min(sizes))
     if sizes[big] - sizes[small] > 1:
         return Verdict(False, IMBALANCE, (big, small))
     edge = cycle_edge(c.colors)
@@ -333,7 +333,7 @@ def solve_intervals(
     start = time.monotonic()
     if k < 1:
         raise ValueError("k must be >= 1")
-    if max_clique_sweep(rep) > 2 * k:
+    if k < proper_min_k(max_clique_sweep(rep)):
         return None
     coloring = round_robin_color(rep, k)
     if verify_interval_coloring(rep, coloring).ok:

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import treecolor.cli
 import treecolor.coloring
@@ -54,6 +57,66 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The CLI's own words, from which fuzzed argvs are drawn: each command (and
+# gen kind) with its input files and its flags (help aside), small values for
+# each flag, and small valid input files of each format.
+SHAPES = {
+    ("color",): (["p.intervals"], ["--k", "--out", "--format"]),
+    ("decide",): (["p.intervals"], ["--k", "--out", "--format"]),
+    ("verify",): (["p.intervals", "c.coloring"], ["--k", "--format"]),
+    ("solve",): (["g.graph"], ["--k", "--timeout", "--out", "--format"]),
+    ("analyze",): (["p.intervals"], ["--format"]),
+    ("gen", "split-gadget"): (["b.binpacking"], ["--out", "--labels-out", "--format"]),
+    ("gen", "interval-gadget"):
+        (["b.binpacking"], ["--out", "--intervals-out", "--labels-out", "--format"]),
+    ("gen", "random"): ([], ["--out", "--n", "--max-coord", "--seed", "--format"]),
+    ("gen", "random-proper"): ([], ["--out", "--n", "--max-coord", "--seed", "--format"]),
+}
+VALUES = {
+    "--k": ["0", "1", "2", "3", "x"],
+    "--timeout": ["0", "0.5", "1", "-1", "nan"],
+    "--format": ["text", "json"],
+    "--n": ["-1", "0", "1", "3"],
+    "--max-coord": ["0", "3", "9"],
+    "--seed": ["-1", "0", "1"],
+}
+INPUTS = {
+    "p.intervals": "intervals 3\n0 0 2\n1 1 3\n2 2 4\n",
+    "g.graph": "graph 3 2\n0 1\n1 2\n",
+    "c.coloring": "coloring 3 2\n0 0\n1 1\n2 0\n",
+    "b.binpacking": "binpacking 2 1 3\n1\n2\n",
+}
+OUTPUTS = ["o1", "o2"]
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command's words, most of its inputs and flags, each flag with a
+    value in the `--flag v` or `--flag=v` form, and up to two stray words or
+    flags of any command. An eighth of the inputs and values are any word,
+    and a quarter of the argvs are in any order."""
+    words = sorted({*sum(SHAPES, ()), *sum(VALUES.values(), [])})
+    files = [*INPUTS, *OUTPUTS]
+    flags = sorted({name for _, names in SHAPES.values() for name in names})
+
+    def word(usual):
+        return draw(st.sampled_from(usual if draw(st.integers(0, 7)) else words + files))
+
+    def flag(name):
+        value = word(VALUES.get(name, OUTPUTS))
+        return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+    head, (inputs, names) = draw(st.sampled_from(list(SHAPES.items())))
+    pieces = [[word([name])] for name in inputs]
+    pieces += [flag(name) for name in names if draw(st.integers(0, 7))]
+    for _ in range(draw(st.integers(0, 2))):
+        stray = flag(draw(st.sampled_from(flags))) if draw(st.booleans()) else [word(words)]
+        pieces.append(stray)
+    if draw(st.integers(0, 3)):
+        return list(head) + sum(draw(st.permutations(pieces)), [])
+    return sum(draw(st.permutations([[w] for w in head] + pieces)), [])
 
 
 def stats(out):
@@ -474,6 +537,12 @@ class TestGen:
             (["--out", "r", "random", "--n", "3", "--max-coord", "9"],
              "--out given before the kind; the kind comes first"),
             (["foo", "--out", "r"], "argument kind: invalid choice: 'foo'"),
+            # The same in the --flag=value form, where argparse takes nothing
+            # for the kind.
+            (["--out=r", "random-proper", "--n", "3", "--max-coord", "9"],
+             "--out given before the kind; the kind comes first"),
+            (["--seed=3", "random", "--n", "3", "--max-coord", "9", "--out", "r"],
+             "--seed given before the kind; the kind comes first"),
         ],
     )
     def test_usage_error_writes_nothing(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -487,9 +556,14 @@ class TestGen:
 
 class TestAnalyze:
     def test_option_before_the_command_is_named(self, capsys, k4_file):
-        code, out, err = run(capsys, ["--format", "json", "analyze", k4_file])
-        assert (code, out) == (1, "")
-        assert err == "error: --format given before the command; the command comes first\n"
+        for options, named in [
+            (["--format", "json"], "--format"),
+            (["--format=json"], "--format"),
+            (["-x"], "-x"),
+        ]:
+            code, out, err = run(capsys, options + ["analyze", k4_file])
+            assert (code, out) == (1, ""), options
+            assert err == f"error: {named} given before the command; the command comes first\n"
 
     def test_complete_graph(self, capsys, k4_file):
         code, out, _ = run(capsys, ["analyze", k4_file])
@@ -593,6 +667,27 @@ class TestHarness:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, ["frobnicate"])
         assert code == 1
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_any_argv_of_cli_words_keeps_the_exit_contract(
+        self, capsys, tmp_path, monkeypatch, data
+    ):
+        # Each example runs in its own copy of the inputs, which a fuzzed
+        # output flag may overwrite, and any word may name an output.
+        monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+        for name, text in INPUTS.items():
+            Path(name).write_text(text)
+        argv = data.draw(cli_argvs(), label="argv")
+        code, out, err = run(capsys, argv)
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -4,8 +4,8 @@ Any text gives a value or a ParseError; a file with one defective row is
 reported on that row's line, whichever of the reader or the type owns the
 broken rule, and a file with two on the first of them; line numbers count
 every line boundary of str.splitlines; and arbitrary bytes given to the CLI
-as an intervals file, or as the first file of `verify`, end in exit 1 with
-an `error:` line.
+as the input file of `analyze`, `color`, `decide` or `solve`, or as the first
+file of `verify`, end in exit 1 with an `error:` line.
 """
 
 import contextlib
@@ -188,7 +188,16 @@ def test_bad_row_line_counts_every_line_boundary(case, data, workdir):
     assert excinfo.value.line == line, repr(text)
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["color", "--k", "2"], ["verify"]])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze"],
+        ["color", "--k", "2"],
+        ["verify"],
+        ["decide", "--k", "2"],
+        ["solve", "--k", "2", "--timeout", "1"],
+    ],
+)
 @settings(max_examples=100)
 @given(data=st.binary(max_size=300))
 def test_cli_rejects_arbitrary_bytes(command, data, workdir):
@@ -196,7 +205,7 @@ def test_cli_rejects_arbitrary_bytes(command, data, workdir):
     path.write_bytes(data)
     out = workdir / "fuzz.coloring"
     argv = [command[0], str(path), *command[1:]]
-    if command[0] == "color":
+    if command[0] in ("color", "decide", "solve"):
         argv += ["--out", str(out)]
     if command[0] == "verify":
         # The fuzzed file is read as a graph or an intervals file and checked

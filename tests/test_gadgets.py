@@ -118,6 +118,22 @@ class TestSolveBinPacking:
         inst = BinPackingInstance((1,) * 5000, 1, 5000)
         assert solve_bin_packing(inst) == [list(range(5000))]
 
+    def test_bins_of_equal_load_are_tried_once(self):
+        # Five items of size 4 in 4 bins of 5: no bin holds two, so the
+        # answer is NO. Empty bins are interchangeable, so with the skip the
+        # search reads an item size 18 times; without it, 198.
+        class CountedItems(tuple):
+            reads = 0
+
+            def __getitem__(self, j):
+                CountedItems.reads += 1
+                return super().__getitem__(j)
+
+        inst = BinPackingInstance((4,) * 5, 4, 5)
+        object.__setattr__(inst, "items", CountedItems(inst.items))
+        assert solve_bin_packing(inst) is None
+        assert CountedItems.reads <= 50
+
 
 class TestSplitGadget:
     def test_vertex_count_identity(self):
