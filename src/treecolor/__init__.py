@@ -44,7 +44,6 @@ from .graph import (
     find_proper_containment,
     first_monochromatic_cycle_edge,
     first_monochromatic_triangle_edge,
-    interval_edge_stats,
     interval_order,
     is_proper_representation,
     max_clique_sweep,
@@ -76,7 +75,6 @@ __all__ = [
     "first_monochromatic_triangle_edge",
     "gen_random_interval",
     "guaranteed_k",
-    "interval_edge_stats",
     "interval_order",
     "is_proper_representation",
     "max_clique_sweep",

@@ -36,12 +36,7 @@ from .gadgets import (
     gen_random_interval,
     validate_layout,
 )
-from .graph import (
-    IntervalRep,
-    interval_edge_stats,
-    is_proper_representation,
-    max_clique_sweep,
-)
+from .graph import IntervalRep, is_proper_representation, max_clique_sweep
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -89,7 +84,7 @@ def cmd_color(args) -> tuple[int, RunReport]:
     coloring = round_robin_color(rep, args.k)
     verdict = verify_interval_coloring(rep, coloring)
     formats.write_coloring(args.out, coloring)
-    m, delta = interval_edge_stats(rep)
+    _, m, delta = max_clique_sweep(rep)
     report = RunReport(
         "color",
         statistics={
@@ -109,13 +104,13 @@ def cmd_color(args) -> tuple[int, RunReport]:
 
 def cmd_decide(args) -> tuple[int, RunReport]:
     rep = formats.parse_intervals(args.intervals)
-    answer, certificate, omega = decide_proper_interval(rep, args.k)
+    answer, certificate, (omega, m, _) = decide_proper_interval(rep, args.k)
     report = RunReport(
         "decide",
         answer="YES" if answer else "NO",
         statistics={
             "n": rep.n,
-            "m": interval_edge_stats(rep)[0],
+            "m": m,
             "omega": omega,
             "k": args.k,
         },
@@ -137,7 +132,7 @@ def cmd_verify(args) -> tuple[int, RunReport]:
             f"coloring file covers {len(coloring)} vertices, graph has {source.n}"
         )
     if isinstance(source, IntervalRep):
-        m = interval_edge_stats(source)[0]
+        m = max_clique_sweep(source)[1]
         verdict = verify_interval_coloring(source, coloring)
     else:
         m = source.m
@@ -160,7 +155,7 @@ def cmd_verify(args) -> tuple[int, RunReport]:
 def cmd_solve(args) -> tuple[int, RunReport]:
     source = formats.parse_graph_or_intervals(args.graph)
     if isinstance(source, IntervalRep):
-        m, solve = interval_edge_stats(source)[0], solve_intervals
+        m, solve = max_clique_sweep(source)[1], solve_intervals
     else:
         m, solve = source.m, exact_solve
     report = RunReport("solve", statistics={"n": source.n, "m": m, "k": args.k})
@@ -229,9 +224,8 @@ def cmd_gen_random(args) -> tuple[int, RunReport]:
 
 def cmd_analyze(args) -> tuple[int, RunReport]:
     rep = formats.parse_intervals(args.intervals)
-    omega = max_clique_sweep(rep)
+    omega, m, delta = max_clique_sweep(rep)
     proper = is_proper_representation(rep)
-    m, delta = interval_edge_stats(rep)
     report = RunReport(
         "analyze",
         statistics={
@@ -331,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timeout", type=_timeout_seconds,
         help="seconds from the start, the graph derivation included, after which "
-        "the exhaustive search gives up (exit 3); the derivation is not interrupted",
+        "the exhaustive search gives up (exit 3); a spent timeout answers before "
+        "the derivation, and a running derivation is not interrupted",
     )
     p.add_argument("--out", help="write the coloring on YES")
     add_common(p)

@@ -23,7 +23,6 @@ from .graph import (
     find_proper_containment,
     first_monochromatic_cycle_edge,
     first_monochromatic_triangle_edge,
-    interval_edge_stats,
     interval_order,
     max_clique_sweep,
 )
@@ -154,10 +153,11 @@ def round_robin_color(rep: IntervalRep, k: int) -> Coloring:
 
 def decide_proper_interval(
     rep: IntervalRep, k: int
-) -> tuple[bool, Coloring | None, int]:
+) -> tuple[bool, Coloring | None, tuple[int, int, int]]:
     """Decide whether a proper representation admits an equitable
     tree-k-coloring. Returns the answer, the round-robin coloring as the
-    certificate on YES (else None), and the clique number omega.
+    certificate on YES (else None), and the (omega, m, max_degree) triple
+    of `max_clique_sweep`, whose omega the clique test reads.
 
     Two independent routes, neither of which builds the graph: the clique
     test (feasible iff the clique number is at most 2k), and round-robin
@@ -169,13 +169,13 @@ def decide_proper_interval(
         raise ProperContainmentError(*pair)
     coloring = round_robin_color(rep, k)
     cycle_free = first_monochromatic_triangle_edge(rep, coloring.colors) is None
-    omega = max_clique_sweep(rep)
-    clique_small = k >= proper_min_k(omega)
+    stats = max_clique_sweep(rep)
+    clique_small = k >= proper_min_k(stats[0])
     if cycle_free != clique_small:
         raise ConsistencyError(
             f"cycle scan says {cycle_free} but clique bound says {clique_small}"
         )
-    return (cycle_free, coloring if cycle_free else None, omega)
+    return (cycle_free, coloring if cycle_free else None, stats)
 
 
 class _RollbackUnionFind:
@@ -327,21 +327,25 @@ def solve_intervals(
     below that threshold does `exact_solve` run on the derived graph.
 
     time_limit counts from the call, so the bounds and the graph derivation
-    spend it too, but only the search is interrupted: SolveTimeout is raised
-    there, at once when the derivation has used up the time.
+    spend it too. A limit the bounds have used up raises SolveTimeout before
+    the derivation starts. A running derivation is not interrupted; the
+    search then raises SolveTimeout at once if the time is up.
     """
     start = time.monotonic()
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k < proper_min_k(max_clique_sweep(rep)):
+    omega, _, max_degree = max_clique_sweep(rep)
+    if k < proper_min_k(omega):
         return None
     coloring = round_robin_color(rep, k)
     if verify_interval_coloring(rep, coloring).ok:
         return coloring
-    if k >= guaranteed_k(interval_edge_stats(rep)[1]):
+    if k >= guaranteed_k(max_degree):
         raise ConsistencyError(
             f"round robin fails at k={k}, at or above the guaranteed threshold"
         )
+    if time_limit is not None and time.monotonic() - start >= time_limit:
+        raise SolveTimeout("no verdict within the time limit")
     g = derive_graph(rep)
     if time_limit is not None:
         time_limit = max(0.0, time_limit - (time.monotonic() - start))

@@ -153,18 +153,6 @@ def derive_graph(rep: IntervalRep) -> Graph:
     return Graph.from_edges(rep.n, pairs)
 
 
-def interval_edge_stats(rep: IntervalRep) -> tuple[int, int]:
-    """(edge count, max degree) of the intersection graph without listing
-    an edge: v meets every interval whose left is <= right(v), except those
-    whose right is < left(v), and except itself."""
-    lefts, rights = rep.ordered_lefts, rep.sorted_rights
-    degrees = [
-        bisect_right(lefts, hi) - bisect_left(rights, lo) - 1
-        for lo, hi in zip(rep.lefts, rep.rights)
-    ]
-    return sum(degrees) // 2, max(degrees, default=0)
-
-
 def interval_order(rep: IntervalRep) -> tuple[int, ...]:
     """Vertices sorted by (left, right, id); the representation's cached order.
 
@@ -208,21 +196,32 @@ def is_proper_representation(rep: IntervalRep) -> bool:
     return find_proper_containment(rep) is None
 
 
-def max_clique_sweep(rep: IntervalRep) -> int:
-    """Clique number: the largest number of intervals covering one point.
+def max_clique_sweep(rep: IntervalRep) -> tuple[int, int, int]:
+    """(clique number, edge count, max degree) of the intersection graph,
+    from one merge of the lefts in interval order with the sorted rights,
+    without listing an edge.
 
-    Depth peaks at a left endpoint, so a merge of the lefts in interval
-    order with the sorted rights finds it: at the i-th left it is i less the
-    rights strictly before that left, since closed intervals touching in a
-    point intersect.
+    At the i-th left, `ended` rights lie strictly before it, so i - ended
+    intervals cover that point, since closed intervals touching in a point
+    intersect. Depth peaks at a left endpoint. The interval of that left
+    meets the depth - 1 earlier ones still open, so the sum of depth - 1
+    counts every edge once, at its later interval. Its degree is the number
+    of lefts <= its right, less the ended intervals and itself.
     """
-    rights = rep.sorted_rights
-    best = ended = 0
-    for seen, lo in enumerate(rep.ordered_lefts, start=1):
+    lefts, rights = rep.ordered_lefts, rep.sorted_rights
+    omega = m = max_degree = ended = 0
+    ordered_rights = map(rep.rights.__getitem__, rep.order)
+    for seen, (lo, hi) in enumerate(zip(lefts, ordered_rights), start=1):
         while rights[ended] < lo:
             ended += 1
-        best = max(best, seen - ended)
-    return best
+        depth = seen - ended
+        m += depth - 1
+        if depth > omega:
+            omega = depth
+        degree = bisect_right(lefts, hi) - ended - 1
+        if degree > max_degree:
+            max_degree = degree
+    return omega, m, max_degree
 
 
 def first_monochromatic_cycle_edge(

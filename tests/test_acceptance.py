@@ -117,7 +117,7 @@ def test_criterion_3_decision_matches_exhaustive_solver():
         n = 1 + seed % 12
         rep = gen_random_interval(n, max_coord=60, seed=10_000 + seed, proper=True)
         g = derive_graph(rep)
-        omega = max_clique_sweep(rep)
+        omega = max_clique_sweep(rep)[0]
         instances += 1
         for k in range(1, 7):
             answer, certificate, _ = decide_proper_interval(rep, k)
@@ -191,7 +191,7 @@ def test_criterion_5_interval_gadget_reduction():
                 problems.append(f"{inst}: last hub degree")
         if not is_star_free(layout.graph, 4):
             problems.append(f"{inst}: induced 4-star found")
-        if max_clique_sweep(layout.rep) - 1 != 2 * k - 1:
+        if max_clique_sweep(layout.rep)[0] - 1 != 2 * k - 1:
             problems.append(f"{inst}: derived treewidth != 2k-1")
 
         partition = solve_bin_packing(inst)
@@ -227,7 +227,7 @@ def test_criterion_6_oracle_cross_validation():
         max_coord = 40 if not proper else max(2 * n + 2, 40)
         rep = gen_random_interval(n, max_coord, seed=20_000 + seed, proper=proper)
         g = derive_graph(rep)
-        if max_clique_sweep(rep) != max_clique_bruteforce(g):
+        if max_clique_sweep(rep)[0] != max_clique_bruteforce(g):
             problems.append(f"seed {seed}: sweep != brute force")
         if not verify_order(g, interval_order(rep)):
             problems.append(f"seed {seed}: interval order rejected")

@@ -18,6 +18,7 @@ from treecolor import (
     derive_graph,
     exact_solve,
     gen_random_interval,
+    max_clique_sweep,
 )
 from treecolor.cli import main
 from treecolor.formats import (
@@ -302,12 +303,18 @@ class TestSolve:
         got, out, err = run(capsys, ["solve", k6_file, "--k", str(k), "--timeout", "0"])
         assert (got, stats(out)["answer"], err) == (code, answer, "")
 
-    def test_intervals_between_the_bounds_still_search(self, capsys, tmp_path):
+    def test_intervals_between_the_bounds_still_search(self, capsys, monkeypatch, tmp_path):
         # omega = 8 <= 2k, round robin fails and k < guaranteed_k(13) = 7: only
-        # the exhaustive search can answer, so --timeout 0 ends it.
+        # the exhaustive search can answer, so --timeout 0 ends it, before the
+        # graph is derived.
+        def refuse(rep):
+            raise AssertionError("derive_graph called after the time limit")
+
         path = tmp_path / "window.intervals"
         write_intervals(path, gen_random_interval(16, 64, 0))
-        code, out, _ = run(capsys, ["solve", str(path), "--k", "4", "--timeout", "0"])
+        with monkeypatch.context() as patch:
+            patch.setattr(treecolor.coloring, "derive_graph", refuse)
+            code, out, _ = run(capsys, ["solve", str(path), "--k", "4", "--timeout", "0"])
         assert code == 3 and stats(out)["answer"] == "TIMEOUT"
         code, out, _ = run(capsys, ["solve", str(path), "--k", "4"])
         assert code == 0 and stats(out)["answer"] == "YES"
@@ -651,6 +658,40 @@ class TestSweepRoute:
             code, out, err = run(capsys, argv)
             assert (argv, code, stats(out)["answer"], err) == (argv, expected, answer, "")
         assert parse_coloring(out_path).class_sizes() == [2, 2, 2]
+
+    def test_each_interval_command_sweeps_once(self, capsys, monkeypatch, tmp_path, k4_file):
+        # Every binding of max_clique_sweep in the package counts its calls.
+        calls = []
+
+        def counted(rep):
+            calls.append(rep)
+            return max_clique_sweep(rep)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "treecolor" and module is not None:
+                if module.__dict__.get("max_clique_sweep") is max_clique_sweep:
+                    monkeypatch.setattr(module, "max_clique_sweep", counted)
+        good = tmp_path / "good.coloring"
+        window = tmp_path / "window.intervals"
+        write_intervals(window, gen_random_interval(16, 64, 0))
+        once = [
+            ["analyze", k4_file],
+            ["color", k4_file, "--k", "2", "--out", str(good)],
+            ["color", k4_file, "--k", "1", "--out", str(tmp_path / "mono")],
+            ["decide", k4_file, "--k", "2"],
+            ["decide", k4_file, "--k", "1"],
+            ["verify", k4_file, str(good)],
+            ["verify", k4_file, str(tmp_path / "mono")],
+        ]
+        # solve sweeps once for m and once in solve_intervals for its bounds;
+        # the three reach the clique bound, the round robin and the search.
+        solves = [["solve", k4_file, "--k", "1"], ["solve", k4_file, "--k", "2"],
+                  ["solve", str(window), "--k", "4"]]
+        for argv in once + solves:
+            calls.clear()
+            code, _, err = run(capsys, argv)
+            most = 1 if argv in once else 2
+            assert (argv, code in (0, 2), err, 1 <= len(calls) <= most) == (argv, True, "", True)
 
     def test_consistency_error_has_its_own_exit_code(self, capsys, monkeypatch, k4_file):
         def disagree(rep, k):

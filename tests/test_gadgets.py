@@ -192,7 +192,7 @@ class TestIntervalGadget:
     def test_clique_number_and_derived_treewidth(self):
         # One chain with two steps and k=2: clique number 2k, treewidth 2k-1.
         layout = build_interval_gadget(BinPackingInstance((2,), 2, 1))
-        omega = max_clique_sweep(layout.rep)
+        omega = max_clique_sweep(layout.rep)[0]
         assert omega == 4
         assert omega - 1 == 3
 

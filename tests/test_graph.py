@@ -224,22 +224,22 @@ class TestProperRepresentation:
 
 class TestMaxCliqueSweep:
     def test_equal_intervals(self):
-        assert max_clique_sweep(equal_intervals_rep(6)) == 6
+        assert max_clique_sweep(equal_intervals_rep(6))[0] == 6
 
     def test_disjoint_intervals(self):
         rep = IntervalRep(tuple((v, 3 * v, 3 * v + 1) for v in range(5)))
-        assert max_clique_sweep(rep) == 1
+        assert max_clique_sweep(rep)[0] == 1
 
     def test_empty_rep(self):
-        assert max_clique_sweep(IntervalRep(())) == 0
+        assert max_clique_sweep(IntervalRep(()))[0] == 0
 
     def test_touching_endpoints_count(self):
-        assert max_clique_sweep(path_rep(3)) == 2
+        assert max_clique_sweep(path_rep(3))[0] == 2
 
     @settings(max_examples=60)
     @given(interval_reps(max_n=9, max_coord=12))
     def test_matches_subset_bruteforce(self, rep):
-        assert max_clique_sweep(rep) == max_clique_bruteforce(derive_graph(rep))
+        assert max_clique_sweep(rep)[0] == max_clique_bruteforce(derive_graph(rep))
 
 
 class TestForestCheck:

@@ -18,14 +18,14 @@ from treecolor import (
     derive_graph,
     first_monochromatic_cycle_edge,
     first_monochromatic_triangle_edge,
-    interval_edge_stats,
     interval_order,
+    max_clique_sweep,
     verify_equitable_tree_coloring,
     verify_interval_coloring,
 )
 from treecolor.formats import parse_intervals, write_intervals
 
-from oracles import equal_intervals_rep, path_rep
+from oracles import equal_intervals_rep, maximal_cliques_networkx, path_rep
 
 
 @st.composite
@@ -96,18 +96,21 @@ class TestColumns:
             assert parse_intervals(path) == rep
 
 
-class TestIntervalEdgeStats:
+class TestIntervalStatsSweep:
     @settings(max_examples=100, deadline=None)
     @given(touching_reps())
     def test_matches_derived_graph(self, rep):
+        # Up to 40 vertices: too many for the 2^n subset scan, so the clique
+        # number comes from networkx's enumeration of the maximal cliques.
         g = derive_graph(rep)
-        assert interval_edge_stats(rep) == (g.m, g.max_degree())
+        omega = max(map(len, maximal_cliques_networkx(g)), default=0)
+        assert max_clique_sweep(rep) == (omega, g.m, g.max_degree())
 
     def test_empty(self):
-        assert interval_edge_stats(IntervalRep(())) == (0, 0)
+        assert max_clique_sweep(IntervalRep(())) == (0, 0, 0)
 
     def test_touching_counts_as_edge(self):
-        assert interval_edge_stats(path_rep(4)) == (3, 2)
+        assert max_clique_sweep(path_rep(4)) == (2, 3, 2)
 
 
 class TestTriangleSweep:
