@@ -36,7 +36,7 @@ from .gadgets import (
     gen_random_interval,
     validate_layout,
 )
-from .graph import IntervalRep, is_proper_representation, max_clique_sweep
+from .graph import IntervalRep, is_proper_representation
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -84,7 +84,7 @@ def cmd_color(args) -> tuple[int, RunReport]:
     coloring = round_robin_color(rep, args.k)
     verdict = verify_interval_coloring(rep, coloring)
     formats.write_coloring(args.out, coloring)
-    _, m, delta = max_clique_sweep(rep)
+    _, m, delta = rep.stats
     report = RunReport(
         "color",
         statistics={
@@ -104,14 +104,14 @@ def cmd_color(args) -> tuple[int, RunReport]:
 
 def cmd_decide(args) -> tuple[int, RunReport]:
     rep = formats.parse_intervals(args.intervals)
-    answer, certificate, (omega, m, _) = decide_proper_interval(rep, args.k)
+    answer, certificate = decide_proper_interval(rep, args.k)
     report = RunReport(
         "decide",
         answer="YES" if answer else "NO",
         statistics={
             "n": rep.n,
-            "m": m,
-            "omega": omega,
+            "m": rep.stats[1],
+            "omega": rep.stats[0],
             "k": args.k,
         },
     )
@@ -132,11 +132,9 @@ def cmd_verify(args) -> tuple[int, RunReport]:
             f"coloring file covers {len(coloring)} vertices, graph has {source.n}"
         )
     if isinstance(source, IntervalRep):
-        m = max_clique_sweep(source)[1]
-        verdict = verify_interval_coloring(source, coloring)
+        m, verdict = source.stats[1], verify_interval_coloring(source, coloring)
     else:
-        m = source.m
-        verdict = verify_equitable_tree_coloring(source, coloring)
+        m, verdict = source.m, verify_equitable_tree_coloring(source, coloring)
     report = RunReport(
         "verify",
         answer="YES" if verdict.ok else "NO",
@@ -155,7 +153,7 @@ def cmd_verify(args) -> tuple[int, RunReport]:
 def cmd_solve(args) -> tuple[int, RunReport]:
     source = formats.parse_graph_or_intervals(args.graph)
     if isinstance(source, IntervalRep):
-        m, solve = max_clique_sweep(source)[1], solve_intervals
+        m, solve = source.stats[1], solve_intervals
     else:
         m, solve = source.m, exact_solve
     report = RunReport("solve", statistics={"n": source.n, "m": m, "k": args.k})
@@ -195,13 +193,15 @@ def cmd_gen_gadget(args) -> tuple[int, RunReport]:
             "m": layout.graph.m,
         },
     )
-    formats.write_graph(args.out, layout.graph)
-    report.artifacts.append(str(args.out))
+    targets = [args.out, args.labels_out]
     if interval:
-        formats.write_intervals(args.intervals_out, layout.rep)
-        report.artifacts.append(str(args.intervals_out))
-    formats.write_labels(args.labels_out, layout)
-    report.artifacts.append(str(args.labels_out))
+        targets.insert(1, args.intervals_out)
+    with formats.all_or_nothing(targets) as paths:
+        formats.write_graph(paths[0], layout.graph)
+        if interval:
+            formats.write_intervals(paths[1], layout.rep)
+        formats.write_labels(paths[-1], layout)
+    report.artifacts.extend(map(str, targets))
     return EXIT_OK, report
 
 
@@ -224,7 +224,7 @@ def cmd_gen_random(args) -> tuple[int, RunReport]:
 
 def cmd_analyze(args) -> tuple[int, RunReport]:
     rep = formats.parse_intervals(args.intervals)
-    omega, m, delta = max_clique_sweep(rep)
+    omega, m, delta = rep.stats
     proper = is_proper_representation(rep)
     report = RunReport(
         "analyze",

@@ -24,7 +24,6 @@ from .graph import (
     first_monochromatic_cycle_edge,
     first_monochromatic_triangle_edge,
     interval_order,
-    max_clique_sweep,
 )
 
 
@@ -151,16 +150,13 @@ def round_robin_color(rep: IntervalRep, k: int) -> Coloring:
     return Coloring(tuple(colors), k)
 
 
-def decide_proper_interval(
-    rep: IntervalRep, k: int
-) -> tuple[bool, Coloring | None, tuple[int, int, int]]:
+def decide_proper_interval(rep: IntervalRep, k: int) -> tuple[bool, Coloring | None]:
     """Decide whether a proper representation admits an equitable
-    tree-k-coloring. Returns the answer, the round-robin coloring as the
-    certificate on YES (else None), and the (omega, m, max_degree) triple
-    of `max_clique_sweep`, whose omega the clique test reads.
+    tree-k-coloring. Returns the answer and the round-robin coloring as the
+    certificate on YES (else None).
 
     Two independent routes, neither of which builds the graph: the clique
-    test (feasible iff the clique number is at most 2k), and round-robin
+    test on `rep.stats` (feasible iff omega is at most 2k), and round-robin
     coloring followed by a sweep for a monochromatic triangle. For proper
     representations they agree; a disagreement raises ConsistencyError.
     """
@@ -169,13 +165,12 @@ def decide_proper_interval(
         raise ProperContainmentError(*pair)
     coloring = round_robin_color(rep, k)
     cycle_free = first_monochromatic_triangle_edge(rep, coloring.colors) is None
-    stats = max_clique_sweep(rep)
-    clique_small = k >= proper_min_k(stats[0])
+    clique_small = k >= proper_min_k(rep.stats[0])
     if cycle_free != clique_small:
         raise ConsistencyError(
             f"cycle scan says {cycle_free} but clique bound says {clique_small}"
         )
-    return (cycle_free, coloring if cycle_free else None, stats)
+    return (cycle_free, coloring if cycle_free else None)
 
 
 class _RollbackUnionFind:
@@ -334,7 +329,7 @@ def solve_intervals(
     start = time.monotonic()
     if k < 1:
         raise ValueError("k must be >= 1")
-    omega, _, max_degree = max_clique_sweep(rep)
+    omega, _, max_degree = rep.stats
     if k < proper_min_k(omega):
         return None
     coloring = round_robin_color(rep, k)

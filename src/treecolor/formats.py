@@ -19,9 +19,12 @@ types check every other value.
 
 from __future__ import annotations
 
+import os
+import stat
+from contextlib import contextmanager, suppress
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .coloring import Coloring, ColoringError
 from .gadgets import BinPackingInstance, GadgetLayout
@@ -127,6 +130,53 @@ def _write(path, header: str, lines: Iterable[str]) -> None:
         out.write(header + "\n")
         while chunk := list(islice(lines, 4096)):
             out.write("\n".join(chunk) + "\n")
+
+
+def _staged_path(target) -> str | None:
+    """A new empty file beside target, made as open(target, "w") would make
+    target, with target's mode when it is a regular file; None when target
+    is anything else (a directory, a device such as /dev/stdout, a symlink)
+    or no file can be made beside it."""
+    directory, name = os.path.split(os.fspath(target))
+    if name in ("", ".", ".."):
+        return None
+    try:
+        mode = os.lstat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    except OSError:
+        return None
+    if mode is not None and not stat.S_ISREG(mode):
+        return None
+    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return None
+    if mode is not None:
+        os.fchmod(fd, stat.S_IMODE(mode))
+    os.close(fd)
+    return temp
+
+
+@contextmanager
+def all_or_nothing(targets: Sequence) -> Iterator[list]:
+    """Yield one path per target for the writers, and move what they wrote
+    onto the targets, in order, only once the block has written them all. On
+    an error the staged files are removed and every target keeps its bytes.
+    A target that `_staged_path` cannot stage is yielded as itself, so it is
+    written directly and an error in opening it names it."""
+    temps = [_staged_path(target) for target in targets]
+    try:
+        yield [temp or target for temp, target in zip(temps, targets)]
+        for temp, target in zip(temps, targets):
+            if temp is not None:
+                os.replace(temp, target)
+    except BaseException:
+        for temp in filter(None, temps):
+            with suppress(FileNotFoundError):
+                os.unlink(temp)
+        raise
 
 
 def parse_intervals(path) -> IntervalRep:

@@ -26,7 +26,7 @@ from itertools import chain
 from typing import Collection, Iterator, Sequence
 
 from .coloring import Coloring, ConsistencyError, verify_equitable_tree_coloring
-from .graph import Graph, IntervalRep, max_clique_sweep
+from .graph import Graph, IntervalRep
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,7 @@ def validate_layout(layout: GadgetLayout) -> None:
         return
 
     lefts, rights = rep.lefts, rep.rights
-    if rep.n != g.n or g.m != max_clique_sweep(rep)[1] or not all(
+    if rep.n != g.n or g.m != rep.stats[1] or not all(
         lefts[u] <= rights[v] and lefts[v] <= rights[u] for u, v in g.edges()
     ):
         raise ConsistencyError("rep-derived adjacency differs from the graph")

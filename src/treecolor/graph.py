@@ -40,7 +40,8 @@ class ProperContainmentError(ValueError):
 class IntervalRep:
     """Closed integer intervals, one per vertex id 0..n-1, read once from a
     sized iterable of (id, left, right) entries in any order and kept by id
-    in the columns `lefts` and `rights`; reps of the same intervals are equal."""
+    in the columns `lefts` and `rights`; reps of the same intervals are equal.
+    What the sweeps read is computed on first use and kept beside them."""
 
     entries: InitVar[Collection[tuple[int, int, int]]]
     lefts: tuple[int, ...] = field(init=False)
@@ -88,6 +89,11 @@ class IntervalRep:
     @cached_property
     def sorted_rights(self) -> tuple[int, ...]:
         return tuple(sorted(self.rights))
+
+    @cached_property
+    def stats(self) -> tuple[int, int, int]:
+        """(omega, m, max_degree): the rep's one `max_clique_sweep`."""
+        return max_clique_sweep(self)
 
 
 @dataclass(frozen=True)
@@ -199,7 +205,7 @@ def is_proper_representation(rep: IntervalRep) -> bool:
 def max_clique_sweep(rep: IntervalRep) -> tuple[int, int, int]:
     """(clique number, edge count, max degree) of the intersection graph,
     from one merge of the lefts in interval order with the sorted rights,
-    without listing an edge.
+    without listing an edge; `IntervalRep.stats` keeps it for every reader.
 
     At the i-th left, `ended` rights lie strictly before it, so i - ended
     intervals cover that point, since closed intervals touching in a point

@@ -120,7 +120,7 @@ def test_criterion_3_decision_matches_exhaustive_solver():
         omega = max_clique_sweep(rep)[0]
         instances += 1
         for k in range(1, 7):
-            answer, certificate, _ = decide_proper_interval(rep, k)
+            answer, certificate = decide_proper_interval(rep, k)
             oracle = exact_solve(g, k) is not None
             if answer != oracle:
                 problems.append(f"seed {seed} k={k}: decide={answer} oracle={oracle}")

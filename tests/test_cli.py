@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -479,6 +480,34 @@ class TestGen:
         assert code == 1 and missing in err and out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.binpacking"]
 
+    def test_failed_gadget_run_leaves_every_target_as_it_was(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        inst = self.packing_file(tmp_path, (1, 2), 1, 3)
+        argv = ["gen", "split-gadget", inst, "--out", "half.graph", "--labels-out", "nodir/l"]
+        missing = "error: [Errno 2] No such file or directory: 'nodir/l'\n"
+        assert run(capsys, argv) == (1, "", missing)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.binpacking"]
+        (tmp_path / "half.graph").write_bytes(b"old bytes\n")
+        os.chmod("half.graph", 0o640)
+        assert run(capsys, argv) == (1, "", missing)
+        assert (tmp_path / "half.graph").read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["half.graph", "inst.binpacking"]
+        # A run that writes them all keeps an existing target's mode, gives a
+        # new one the mode open(path, "w") gives, and writes through a symlink.
+        os.symlink("real.labels", "link.labels")
+        argv[-1] = "link.labels"
+        assert run(capsys, argv)[0] == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(os.stat("half.graph").st_mode) == 0o640
+        assert stat.S_IMODE(os.stat("real.labels").st_mode) == 0o666 & ~umask
+        assert parse_graph("half.graph").n == 7 and os.path.islink("link.labels")
+        assert parse_labels(tmp_path / "real.labels")[0] == "split"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "half.graph", "inst.binpacking", "link.labels", "real.labels"]
+
     def test_invalid_instance_sum(self, capsys, tmp_path):
         inst = self.packing_file(tmp_path, (3, 2), 2, 2)
         code, _, err = run(
@@ -683,15 +712,20 @@ class TestSweepRoute:
             ["verify", k4_file, str(good)],
             ["verify", k4_file, str(tmp_path / "mono")],
         ]
-        # solve sweeps once for m and once in solve_intervals for its bounds;
-        # the three reach the clique bound, the round robin and the search.
-        solves = [["solve", k4_file, "--k", "1"], ["solve", k4_file, "--k", "2"],
-                  ["solve", str(window), "--k", "4"]]
-        for argv in once + solves:
+        # solve reads m and its bounds from the one triple the rep keeps; the
+        # three reach the clique bound, the round robin and the search.
+        searched = []
+        monkeypatch.setattr(
+            treecolor.coloring, "exact_solve",
+            lambda *a, **kw: searched.append(a) or exact_solve(*a, **kw),
+        )
+        once += [["solve", k4_file, "--k", "1"], ["solve", k4_file, "--k", "2"],
+                 ["solve", str(window), "--k", "4"]]
+        for argv in once:
             calls.clear()
             code, _, err = run(capsys, argv)
-            most = 1 if argv in once else 2
-            assert (argv, code in (0, 2), err, 1 <= len(calls) <= most) == (argv, True, "", True)
+            assert (argv, code in (0, 2), err, len(calls)) == (argv, True, "", 1)
+        assert len(searched) == 1
 
     def test_consistency_error_has_its_own_exit_code(self, capsys, monkeypatch, k4_file):
         def disagree(rep, k):

@@ -136,8 +136,8 @@ class TestRoundRobin:
 class TestDecide:
     def test_complete_graph_needs_half_its_size(self):
         rep = equal_intervals_rep(4)
-        assert decide_proper_interval(rep, 1) == (False, None, (4, 6, 3))
-        answer, cert, _ = decide_proper_interval(rep, 2)
+        assert decide_proper_interval(rep, 1) == (False, None)
+        answer, cert = decide_proper_interval(rep, 2)
         assert answer and sorted(cert.class_sizes()) == [2, 2]
         assert verify_equitable_tree_coloring(derive_graph(rep), cert).ok
 
@@ -157,8 +157,8 @@ class TestDecide:
         rep = gen_random_interval(n, 40, seed=seed, proper=True)
         g = derive_graph(rep)
         for k in range(1, 5):
-            answer, cert, stats = decide_proper_interval(rep, k)
-            assert stats == max_clique_sweep(rep)
+            answer, cert = decide_proper_interval(rep, k)
+            assert rep.stats == max_clique_sweep(rep)
             assert answer == (exact_solve(g, k) is not None)
             if answer:
                 assert verify_equitable_tree_coloring(g, cert).ok

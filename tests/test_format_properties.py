@@ -4,8 +4,8 @@ Any text gives a value or a ParseError; a file with one defective row is
 reported on that row's line, whichever of the reader or the type owns the
 broken rule, and a file with two on the first of them; line numbers count
 every line boundary of str.splitlines; and arbitrary bytes given to the CLI
-as the input file of `analyze`, `color`, `decide` or `solve`, or as the first
-file of `verify`, end in exit 1 with an `error:` line.
+as the input file of `analyze`, `color`, `decide`, `solve` or either gadget
+`gen`, or as either file of `verify`, end in exit 1 with an `error:` line.
 """
 
 import contextlib
@@ -220,3 +220,32 @@ def test_cli_rejects_arbitrary_bytes(command, data, workdir):
     assert stderr.getvalue().startswith("error: ")
     assert stdout.getvalue() == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "@two.intervals", "@fuzz"],
+        ["gen", "split-gadget", "@fuzz", "--out", "@g.graph", "--labels-out", "@g.labels"],
+        ["gen", "interval-gadget", "@fuzz", "--out", "@g.graph",
+         "--intervals-out", "@g.intervals", "--labels-out", "@g.labels"],
+    ],
+)
+@settings(max_examples=100)
+@given(data=st.binary(max_size=300))
+def test_coloring_and_binpacking_readers_reject_arbitrary_bytes(argv, data, workdir):
+    # verify reads the fuzzed bytes as its coloring file, against a valid
+    # 2-vertex intervals file; gen reads them as its bin-packing file. An
+    # "@" word names a file in the example's directory.
+    here = workdir / "bytes"
+    here.mkdir(exist_ok=True)
+    (here / "two.intervals").write_text("intervals 2\n0 0 1\n1 2 3\n")
+    (here / "fuzz").write_bytes(data)
+    before = sorted(path.name for path in here.iterdir())
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([str(here / word[1:]) if word[0] == "@" else word for word in argv])
+    assert code == 1
+    assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
+    assert stdout.getvalue() == ""
+    assert sorted(path.name for path in here.iterdir()) == before

@@ -106,6 +106,18 @@ class TestIntervalStatsSweep:
         omega = max(map(len, maximal_cliques_networkx(g)), default=0)
         assert max_clique_sweep(rep) == (omega, g.m, g.max_degree())
 
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_stats_are_kept_on_a_rep_that_still_equals_a_fresh_one(self, data):
+        entries = data.draw(touching_entries())
+        rep = IntervalRep(entries)
+        stats = rep.stats
+        assert stats == max_clique_sweep(rep) and rep.stats is stats
+        fresh = IntervalRep(tuple(data.draw(st.permutations(entries))))
+        assert "stats" not in vars(fresh)
+        assert rep == fresh and fresh == rep and hash(rep) == hash(fresh)
+        assert {rep, fresh} == {rep} and rep.stats == fresh.stats
+
     def test_empty(self):
         assert max_clique_sweep(IntervalRep(())) == (0, 0, 0)
 
