@@ -5,6 +5,10 @@ completed run with a negative answer, 3 for a solver timeout, 1 for input
 or usage errors, and 4 when two routes that must agree disagree (a bug in
 the program, not in the input). Reports go to stdout as key=value lines;
 --format json switches to a single JSON document.
+
+A command returns its exit code, its report and the files it writes, as
+(target, writer, value) triples; `main` writes them all or none with
+`formats.write_all`, and only then emits the report.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ EXIT_INCONSISTENT = 4
 @dataclass
 class RunReport:
     """What a command did: the answer (for decision commands), named
-    statistics, and the files written."""
+    statistics, and the files written, which `main` lists once written."""
 
     command: str
     answer: str | None = None
@@ -79,11 +83,10 @@ class RunReport:
             print(f"wrote={path}")
 
 
-def cmd_color(args) -> tuple[int, RunReport]:
+def cmd_color(args) -> tuple[int, RunReport, list]:
     rep = formats.parse_intervals(args.intervals)
     coloring = round_robin_color(rep, args.k)
     verdict = verify_interval_coloring(rep, coloring)
-    formats.write_coloring(args.out, coloring)
     _, m, delta = rep.stats
     report = RunReport(
         "color",
@@ -96,13 +99,13 @@ def cmd_color(args) -> tuple[int, RunReport]:
             "class_sizes": coloring.class_sizes(),
             "verified": verdict.ok,
         },
-        artifacts=[str(args.out)],
     )
     report.add_failure(verdict)
-    return (EXIT_OK if verdict.ok else EXIT_NEGATIVE), report
+    files = [(args.out, formats.write_coloring, coloring)]
+    return (EXIT_OK if verdict.ok else EXIT_NEGATIVE), report, files
 
 
-def cmd_decide(args) -> tuple[int, RunReport]:
+def cmd_decide(args) -> tuple[int, RunReport, list]:
     rep = formats.parse_intervals(args.intervals)
     answer, certificate = decide_proper_interval(rep, args.k)
     report = RunReport(
@@ -115,14 +118,14 @@ def cmd_decide(args) -> tuple[int, RunReport]:
             "k": args.k,
         },
     )
+    files = []
     if answer and args.out is not None:
-        formats.write_coloring(args.out, certificate)
         report.statistics["class_sizes"] = certificate.class_sizes()
-        report.artifacts.append(str(args.out))
-    return (EXIT_OK if answer else EXIT_NEGATIVE), report
+        files.append((args.out, formats.write_coloring, certificate))
+    return (EXIT_OK if answer else EXIT_NEGATIVE), report, files
 
 
-def cmd_verify(args) -> tuple[int, RunReport]:
+def cmd_verify(args) -> tuple[int, RunReport, list]:
     source = formats.parse_graph_or_intervals(args.graph)
     coloring = formats.parse_coloring(args.coloring)
     if args.k is not None and args.k != coloring.k:
@@ -147,10 +150,10 @@ def cmd_verify(args) -> tuple[int, RunReport]:
         },
     )
     report.add_failure(verdict)
-    return (EXIT_OK if verdict.ok else EXIT_NEGATIVE), report
+    return (EXIT_OK if verdict.ok else EXIT_NEGATIVE), report, []
 
 
-def cmd_solve(args) -> tuple[int, RunReport]:
+def cmd_solve(args) -> tuple[int, RunReport, list]:
     source = formats.parse_graph_or_intervals(args.graph)
     if isinstance(source, IntervalRep):
         m, solve = source.stats[1], solve_intervals
@@ -162,19 +165,17 @@ def cmd_solve(args) -> tuple[int, RunReport]:
     except SolveTimeout:
         report.answer = "TIMEOUT"
         report.statistics["timeout"] = args.timeout
-        return EXIT_TIMEOUT, report
+        return EXIT_TIMEOUT, report, []
     if coloring is None:
         report.answer = "NO"
-        return EXIT_NEGATIVE, report
+        return EXIT_NEGATIVE, report, []
     report.answer = "YES"
     report.statistics["class_sizes"] = coloring.class_sizes()
-    if args.out is not None:
-        formats.write_coloring(args.out, coloring)
-        report.artifacts.append(str(args.out))
-    return EXIT_OK, report
+    files = [] if args.out is None else [(args.out, formats.write_coloring, coloring)]
+    return EXIT_OK, report, files
 
 
-def cmd_gen_gadget(args) -> tuple[int, RunReport]:
+def cmd_gen_gadget(args) -> tuple[int, RunReport, list]:
     inst = formats.parse_binpacking(args.input)
     interval = args.kind == "interval-gadget"
     try:
@@ -193,24 +194,18 @@ def cmd_gen_gadget(args) -> tuple[int, RunReport]:
             "m": layout.graph.m,
         },
     )
-    targets = [args.out, args.labels_out]
+    files = [(args.out, formats.write_graph, layout.graph)]
     if interval:
-        targets.insert(1, args.intervals_out)
-    with formats.all_or_nothing(targets) as paths:
-        formats.write_graph(paths[0], layout.graph)
-        if interval:
-            formats.write_intervals(paths[1], layout.rep)
-        formats.write_labels(paths[-1], layout)
-    report.artifacts.extend(map(str, targets))
-    return EXIT_OK, report
+        files.append((args.intervals_out, formats.write_intervals, layout.rep))
+    files.append((args.labels_out, formats.write_labels, layout))
+    return EXIT_OK, report, files
 
 
-def cmd_gen_random(args) -> tuple[int, RunReport]:
+def cmd_gen_random(args) -> tuple[int, RunReport, list]:
     rep = gen_random_interval(
         args.n, args.max_coord, args.seed, proper=args.kind == "random-proper"
     )
-    formats.write_intervals(args.out, rep)
-    return EXIT_OK, RunReport(
+    report = RunReport(
         "gen",
         statistics={
             "kind": args.kind,
@@ -218,11 +213,11 @@ def cmd_gen_random(args) -> tuple[int, RunReport]:
             "max_coord": args.max_coord,
             "seed": args.seed,
         },
-        artifacts=[str(args.out)],
     )
+    return EXIT_OK, report, [(args.out, formats.write_intervals, rep)]
 
 
-def cmd_analyze(args) -> tuple[int, RunReport]:
+def cmd_analyze(args) -> tuple[int, RunReport, list]:
     rep = formats.parse_intervals(args.intervals)
     omega, m, delta = rep.stats
     proper = is_proper_representation(rep)
@@ -240,7 +235,7 @@ def cmd_analyze(args) -> tuple[int, RunReport]:
     if proper:
         # Only for proper representations is omega <= 2k the exact criterion.
         report.statistics["min_k"] = proper_min_k(omega)
-    return EXIT_OK, report
+    return EXIT_OK, report, []
 
 
 class _UsageError(Exception):
@@ -254,11 +249,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _subcommand_slot(argv: list[str]) -> tuple[int, str]:
+    """The index in argv where a subcommand belongs, and its name: gen's
+    kind after `gen`, else the command."""
+    return (1, "kind") if argv[:1] == ["gen"] else (0, "command")
+
+
 def _misplaced_option(argv: list[str]) -> str | None:
     """The usage error for an option typed where a subcommand belongs (the
     command, or gen's kind after it), or None. Asked only once parsing has
     failed, in place of whatever argparse made of the misplaced option."""
-    slot, name = (argv[1:2], "kind") if argv[:1] == ["gen"] else (argv[:1], "command")
+    index, name = _subcommand_slot(argv)
+    slot = argv[index:index + 1]
     if slot and slot[0].startswith("-") and slot[0] != "--":
         option = slot[0].partition("=")[0]
         return f"{option} given before the {name}; the {name} comes first"
@@ -361,14 +363,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # Drop a lone `--` where the command, or then gen's kind, belongs: no
+    # option may stand before either, and argparse would take it for a name.
+    for index in (0, 1):
+        if argv[index:index + 1] == ["--"] and _subcommand_slot(argv)[0] == index:
+            del argv[index]
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {_misplaced_option(argv) or exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        code, report = args.func(args)
+        code, report, files = args.func(args)
+        formats.write_all(files)
+        report.artifacts = [str(target) for target, _, _ in files]
         report.emit(args.format)
         return code
     except (ValueError, OSError) as exc:

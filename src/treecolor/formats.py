@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import stat
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Sequence
@@ -159,17 +159,17 @@ def _staged_path(target) -> str | None:
     return temp
 
 
-@contextmanager
-def all_or_nothing(targets: Sequence) -> Iterator[list]:
-    """Yield one path per target for the writers, and move what they wrote
-    onto the targets, in order, only once the block has written them all. On
-    an error the staged files are removed and every target keeps its bytes.
-    A target that `_staged_path` cannot stage is yielded as itself, so it is
-    written directly and an error in opening it names it."""
-    temps = [_staged_path(target) for target in targets]
+def write_all(files: Sequence[tuple]) -> None:
+    """Write each (target, writer, value) of files as writer(path, value),
+    all or nothing: a target that `_staged_path` can stage is written to its
+    staged file, and the staged files are moved onto their targets, in order,
+    only once all are written; on an error they are removed. Any other
+    target is written directly, so an error in opening it names it."""
+    temps = [_staged_path(target) for target, _, _ in files]
     try:
-        yield [temp or target for temp, target in zip(temps, targets)]
-        for temp, target in zip(temps, targets):
+        for temp, (target, write, value) in zip(temps, files):
+            write(temp or target, value)
+        for temp, (target, _, _) in zip(temps, files):
             if temp is not None:
                 os.replace(temp, target)
     except BaseException:

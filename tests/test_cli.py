@@ -125,15 +125,27 @@ def stats(out):
     return dict(line.split("=", 1) for line in out.strip().splitlines())
 
 
-# Runs main on argv under a 1.5 GB address-space limit, which applies to this
-# child process only.
+# Runs main on the argv that follows a resource limit's name and soft value,
+# under that limit, which applies to this child process only.
 LIMITED_MAIN = """
 import resource, sys
-hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, hard))
 from treecolor.cli import main
-sys.exit(main(sys.argv[1:]))
+limit = getattr(resource, sys.argv[1])
+resource.setrlimit(limit, (int(sys.argv[2]), resource.getrlimit(limit)[1]))
+sys.exit(main(sys.argv[3:]))
 """
+
+
+def run_limited(cwd, limit, soft, argv):
+    src = str(Path(treecolor.cli.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, limit, str(soft), *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestColor:
@@ -507,6 +519,10 @@ class TestGen:
         assert parse_labels(tmp_path / "real.labels")[0] == "split"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "half.graph", "inst.binpacking", "link.labels", "real.labels"]
+        # A target given twice is written twice, in order, and listed twice.
+        code, out, _ = run(capsys, argv[:3] + ["--out", "x", "--labels-out", "x"])
+        assert code == 0 and out.splitlines()[-2:] == ["wrote=x", "wrote=x"]
+        assert parse_labels(tmp_path / "x")[0] == "split"
 
     def test_invalid_instance_sum(self, capsys, tmp_path):
         inst = self.packing_file(tmp_path, (3, 2), 2, 2)
@@ -787,17 +803,74 @@ class TestHarness:
         # A 19-byte graph file whose header names a billion vertices.
         (tmp_path / "huge.graph").write_text("graph 1000000000 0\n")
         (tmp_path / "two.coloring").write_text("coloring 2 2\n0 0\n1 1\n")
-        src = str(Path(treecolor.cli.__file__).parents[1])
-        child = subprocess.run(
-            [sys.executable, "-c", LIMITED_MAIN, *argv],
-            cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        child = run_limited(tmp_path, "RLIMIT_AS", 1536 * 2**20, argv)
         assert (child.returncode, child.stdout) == (1, "")
         assert child.stderr == "error: ran out of memory\n"
+
+    # Each command that writes one file, its --out last. On the 2,000 proper
+    # intervals of big.intervals (threshold 90, omega 103) each answers YES,
+    # and each file it writes is larger than 8 KB.
+    SINGLE_WRITERS = {
+        "color": ["color", "big.intervals", "--k", "100", "--out"],
+        "decide": ["decide", "big.intervals", "--k", "100", "--out"],
+        "solve": ["solve", "big.intervals", "--k", "100", "--out"],
+        "gen-random": ["gen", "random", "--n", "2000", "--max-coord", "100000", "--out"],
+    }
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_FSIZE fails writes with EFBIG")
+    @pytest.mark.parametrize("target", ["new", "existing", "symlink"])
+    @pytest.mark.parametrize("command", sorted(SINGLE_WRITERS))
+    def test_failed_write_leaves_the_target_as_it_was(
+        self, capsys, tmp_path, monkeypatch, command, target
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_intervals("big.intervals", gen_random_interval(2000, 100000, 1, proper=True))
+        argv = self.SINGLE_WRITERS[command] + ["out"]
+        if target == "existing":
+            Path("out").write_bytes(b"old bytes\n")
+            os.chmod("out", 0o640)
+        elif target == "symlink":
+            os.symlink("real", "out")
+        before = sorted(os.listdir())
+        # Past an 8 KB file size limit every write fails (CPython ignores
+        # SIGXFSZ, so with EFBIG). A symlink is written through, not staged,
+        # so only a regular target is left as it was.
+        if target != "symlink":
+            child = run_limited(tmp_path, "RLIMIT_FSIZE", 8192, argv)
+            assert (child.returncode, child.stdout) == (1, "")
+            assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+            assert sorted(os.listdir()) == before
+            if target == "existing":
+                assert Path("out").read_bytes() == b"old bytes\n"
+                assert stat.S_IMODE(os.stat("out").st_mode) == 0o640
+        # Without the limit the same run writes its file: an existing target
+        # keeps its mode, a new one gets the mode open(path, "w") gives, and
+        # a symlink is written through and stays a symlink.
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "") and out.endswith("\nwrote=out\n")
+        assert Path("out").read_text().split("\n", 1)[0] in ("coloring 2000 100", "intervals 2000")
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o640 if target == "existing" else 0o666 & ~umask
+        assert stat.S_IMODE(os.stat("out").st_mode) == mode
+        assert os.path.islink("out") == (target == "symlink")
+        assert not [name for name in os.listdir() if name.endswith(".tmp")]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--", "analyze", "p.intervals"],
+            ["gen", "--", "random", "--n", "3", "--max-coord", "9", "--out", "r"],
+            ["--", "gen", "--", "random", "--n", "3", "--max-coord", "9", "--out", "r"],
+        ],
+    )
+    def test_separator_where_a_subcommand_belongs_is_dropped(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("p.intervals").write_text(INPUTS["p.intervals"])
+        without = run(capsys, [word for word in argv if word != "--"])
+        assert without[0] == 0 and run(capsys, argv) == without
 
     def test_json_format(self, capsys, tmp_path, k4_file):
         code, out, _ = run(
