@@ -178,11 +178,8 @@ def cmd_solve(args) -> tuple[int, RunReport, list]:
 def cmd_gen_gadget(args) -> tuple[int, RunReport, list]:
     inst = formats.parse_binpacking(args.input)
     interval = args.kind == "interval-gadget"
-    try:
-        layout = (build_interval_gadget if interval else build_split_gadget)(inst)
-        validate_layout(layout)
-    except ConsistencyError as exc:
-        raise ValueError(f"gadget validation failed: {exc}") from exc
+    layout = (build_interval_gadget if interval else build_split_gadget)(inst)
+    validate_layout(layout)
     report = RunReport(
         "gen",
         statistics={
@@ -385,6 +382,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     except MemoryError:
         print("error: ran out of memory", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OverflowError as exc:
+        print(f"error: a number is too large to use: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except ConsistencyError as exc:
         print(f"error: internal consistency check failed: {exc}", file=sys.stderr)

@@ -168,7 +168,11 @@ def write_all(files: Sequence[tuple]) -> None:
     temps = [_staged_path(target) for target, _, _ in files]
     try:
         for temp, (target, write, value) in zip(temps, files):
-            write(temp or target, value)
+            try:
+                write(temp or target, value)
+            except OSError as exc:
+                exc.filename = os.fspath(target)
+                raise
         for temp, (target, _, _) in zip(temps, files):
             if temp is not None:
                 os.replace(temp, target)

@@ -391,12 +391,10 @@ def packing_from_coloring(layout: GadgetLayout, c: Coloring) -> list[list[int]]:
         if len(bin_colors) != 1:
             raise ConsistencyError(f"forced vertex set of item {j} is not monochromatic")
         partition[bin_colors.pop()].append(j)
-    for i, bin_items in enumerate(partition):
-        load = sum(inst.items[j] for j in bin_items)
-        if load != inst.capacity:
-            raise ConsistencyError(
-                f"extracted bin {i} sums to {load}, expected {inst.capacity}"
-            )
+    try:
+        _check_partition(inst, partition)
+    except ValueError as exc:
+        raise ConsistencyError(f"extracted {exc}") from None
     return partition
 
 

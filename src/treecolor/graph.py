@@ -11,7 +11,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import compress, count, islice
 from typing import Collection, Iterable, Iterator, Sequence
 
 
@@ -169,32 +169,19 @@ def interval_order(rep: IntervalRep) -> tuple[int, ...]:
 
 
 def find_proper_containment(rep: IntervalRep) -> tuple[int, int] | None:
-    """Return (outer, inner) where outer's interval properly contains inner's,
-    or None. Identical intervals do not count as containment."""
+    """(outer, inner) for the first neighbours a, b in interval order of which
+    one properly contains the other, or None; identical intervals do not
+    count. They do exactly when (left(a) == left(b)) == (right(a) < right(b)),
+    and a rep with no such neighbours has no containment anywhere."""
     order, lefts, rights = rep.order, rep.ordered_lefts, rep.rights
-    # Proper iff the rights in interval order are sorted too and two
-    # neighbours in that order share their left exactly when they share
-    # their right; both checks run without a Python loop. Only a rep that
-    # fails them is walked, for the pair the walk reports.
-    eq, ordered_rights = operator.eq, tuple(map(rights.__getitem__, order))
-    same_lefts = map(eq, lefts, islice(lefts, 1, None))
-    same_rights = map(eq, ordered_rights, islice(ordered_rights, 1, None))
-    if ordered_rights == rep.sorted_rights and all(map(eq, same_lefts, same_rights)):
+    ordered_rights = tuple(map(rights.__getitem__, order))
+    shared = map(operator.eq, lefts, islice(lefts, 1, None))
+    wider = map(operator.lt, ordered_rights, islice(ordered_rights, 1, None))
+    p = next(compress(count(), map(operator.eq, shared, wider)), None)
+    if p is None:
         return None
-    reach = None  # (right, vertex) reaching furthest among strictly smaller lefts
-    p = 0
-    while p < len(order):
-        # order[p:stop] share one left; first has the smallest right.
-        stop = bisect_right(lefts, lefts[p], p)
-        first, last = order[p], order[stop - 1]
-        hi = rights[first]
-        if reach is not None and hi <= reach[0]:
-            return (reach[1], first)
-        if rights[last] > hi:
-            return (last, first)
-        reach = (hi, first)
-        p = stop
-    return None
+    a, b = order[p], order[p + 1]
+    return (b, a) if lefts[p] == lefts[p + 1] else (a, b)
 
 
 def is_proper_representation(rep: IntervalRep) -> bool:

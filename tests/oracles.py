@@ -9,9 +9,10 @@ checks with superlinear cost that the tests hold the library to
 (`verify_order`, `is_star_free`) live here too, with
 `color_classes_are_forests`, `detect_kind`, `parse_labels` and
 `chain_clique_sequence`, which no library code calls.
-The recursive forms of the two exhaustive solvers (`exact_solve_recursive`,
-`solve_bin_packing_recursive`) are the references that the library's loops
-must match solution for solution.
+`first_broken_neighbours` is the plain loop that `find_proper_containment`
+must match pair for pair. The recursive forms of the two exhaustive solvers
+(`exact_solve_recursive`, `solve_bin_packing_recursive`) are the references
+that the library's loops must match solution for solution.
 """
 
 from itertools import combinations, product
@@ -136,6 +137,25 @@ def equal_intervals_rep(n: int) -> IntervalRep:
 def path_rep(n: int) -> IntervalRep:
     """Chain of touching unit intervals; derives the path P_n."""
     return IntervalRep(tuple((v, v, v + 1) for v in range(n)))
+
+
+def properly_contains(rep: IntervalRep, outer: int, inner: int) -> bool:
+    """outer's interval contains inner's and the two are not identical."""
+    lo_o, hi_o = rep.lefts[outer], rep.rights[outer]
+    lo_i, hi_i = rep.lefts[inner], rep.rights[inner]
+    return lo_o <= lo_i and hi_i <= hi_o and (lo_o, hi_o) != (lo_i, hi_i)
+
+
+def first_broken_neighbours(rep: IntervalRep) -> tuple[int, int] | None:
+    """(outer, inner) for the first neighbours in interval order (left,
+    right, id) of which one properly contains the other, or None."""
+    order = rep.order
+    for a, b in zip(order, order[1:]):
+        if properly_contains(rep, b, a):
+            return (b, a)
+        if properly_contains(rep, a, b):
+            return (a, b)
+    return None
 
 
 def verify_order(g: Graph, order: Sequence[int]) -> bool:

@@ -55,6 +55,9 @@ def k6_graph_file(tmp_path):
     return str(path)
 
 
+BIG = str(10**20)
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -524,6 +527,27 @@ class TestGen:
         assert code == 0 and out.splitlines()[-2:] == ["wrote=x", "wrote=x"]
         assert parse_labels(tmp_path / "x")[0] == "split"
 
+    @pytest.mark.parametrize("kind", ["split-gadget", "interval-gadget"])
+    def test_failed_validation_exits_4_and_writes_nothing(
+        self, capsys, tmp_path, monkeypatch, kind
+    ):
+        def disagree(layout):
+            raise ConsistencyError("label-implied edges differ from the graph")
+
+        monkeypatch.setattr(treecolor.cli, "validate_layout", disagree)
+        monkeypatch.chdir(tmp_path)
+        inst = self.packing_file(tmp_path, (2, 1, 1), 2, 2)
+        argv = ["gen", kind, inst, "--out", "g", "--labels-out", "l"]
+        if kind == "interval-gadget":
+            argv += ["--intervals-out", "i"]
+        assert run(capsys, argv) == (
+            4,
+            "",
+            "error: internal consistency check failed: "
+            "label-implied edges differ from the graph\n",
+        )
+        assert os.listdir() == ["inst.binpacking"]
+
     def test_invalid_instance_sum(self, capsys, tmp_path):
         inst = self.packing_file(tmp_path, (3, 2), 2, 2)
         code, _, err = run(
@@ -807,6 +831,38 @@ class TestHarness:
         assert (child.returncode, child.stdout) == (1, "")
         assert child.stderr == "error: ran out of memory\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["color", "two.intervals", "--k", BIG, "--out", "o"],
+            ["decide", "two.intervals", "--k", BIG, "--out", "o"],
+            ["solve", "two.intervals", "--k", BIG],
+            ["solve", "huge.graph", "--k", "1"],
+            ["verify", "huge.graph", "none.coloring"],
+            ["verify", "none.intervals", "huge.coloring"],
+            ["gen", "random-proper", "--n", "3", "--max-coord", BIG, "--out", "o"],
+        ],
+    )
+    def test_number_too_large_to_use_is_an_error_line(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        # 10**20 does not fit an index, so each run fails before it allocates.
+        monkeypatch.chdir(tmp_path)
+        inputs = {
+            "two.intervals": "intervals 2\n0 0 2\n1 1 3\n",
+            "huge.graph": f"graph {BIG} 0\n",
+            "none.intervals": "intervals 0\n",
+            "none.coloring": "coloring 0 1\n",
+            "huge.coloring": f"coloring 0 {BIG}\n",
+        }
+        for name, text in inputs.items():
+            Path(name).write_text(text)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: a number is too large to use: ")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir()) == sorted(inputs)
+
     # Each command that writes one file, its --out last. On the 2,000 proper
     # intervals of big.intervals (threshold 90, omega 103) each answers YES,
     # and each file it writes is larger than 8 KB.
@@ -839,6 +895,7 @@ class TestHarness:
             child = run_limited(tmp_path, "RLIMIT_FSIZE", 8192, argv)
             assert (child.returncode, child.stdout) == (1, "")
             assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+            assert "'out'" in child.stderr
             assert sorted(os.listdir()) == before
             if target == "existing":
                 assert Path("out").read_bytes() == b"old bytes\n"

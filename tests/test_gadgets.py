@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treecolor.gadgets
 from treecolor import (
     BinPackingInstance,
     ChainPart,
+    Coloring,
     ConsistencyError,
     Graph,
     IntervalRep,
+    Verdict,
     build_interval_gadget,
     build_split_gadget,
     coloring_from_packing,
@@ -438,12 +441,22 @@ class TestWitnessMaps:
         inst = BinPackingInstance((1, 1), 2, 1)
         layout = build_split_gadget(inst)
         bad = coloring_from_packing(layout, [[0], [1]])
-        from treecolor import Coloring
-
         flipped = list(bad.colors)
         flipped[0], flipped[-1] = flipped[-1], flipped[0]
         with pytest.raises((ValueError, ConsistencyError)):
             packing_from_coloring(layout, Coloring(tuple(flipped), 2))
+
+    def test_extracted_bin_load_is_a_consistency_error(self, monkeypatch):
+        # No valid coloring can load a bin wrongly, so accept any coloring.
+        monkeypatch.setattr(
+            treecolor.gadgets, "verify_equitable_tree_coloring",
+            lambda g, c: Verdict(True),
+        )
+        layout = build_split_gadget(BinPackingInstance((2, 1, 1), 2, 2))
+        one_color = Coloring((0,) * layout.graph.n, 2)
+        with pytest.raises(ConsistencyError) as caught:
+            packing_from_coloring(layout, one_color)
+        assert str(caught.value) == "extracted bin 0 sums to 4, expected 2"
 
     def test_infeasible_split_instance_has_infeasible_gadget(self):
         inst = BinPackingInstance((3, 1), 2, 2)

@@ -19,11 +19,13 @@ from treecolor import (
 from oracles import (
     color_classes_are_forests,
     equal_intervals_rep,
+    first_broken_neighbours,
     forests_by_dfs,
     is_star_free,
     max_clique_bruteforce,
     neighbor_sets,
     path_rep,
+    properly_contains,
     star_bruteforce,
     verify_order,
 )
@@ -202,24 +204,25 @@ class TestProperRepresentation:
         rep = IntervalRep(((0, 0, 4), (1, 2, 4)))
         assert find_proper_containment(rep) == (0, 1)
 
+    def test_three_on_one_left_name_the_first_broken_neighbours(self):
+        rep = IntervalRep(((0, 0, 1), (1, 0, 1), (2, 0, 3)))
+        assert find_proper_containment(rep) == (2, 1)
+
     @given(interval_reps())
     def test_agrees_with_quadratic_scan(self, rep):
-        def contains(outer, inner):
-            lo_o, hi_o = rep.lefts[outer], rep.rights[outer]
-            lo_i, hi_i = rep.lefts[inner], rep.rights[inner]
-            return (
-                lo_o <= lo_i
-                and hi_i <= hi_o
-                and (lo_o, hi_o) != (lo_i, hi_i)
-            )
-
         expected = any(
-            contains(u, v)
+            properly_contains(rep, u, v)
             for u in range(rep.n)
             for v in range(rep.n)
             if u != v
         )
         assert is_proper_representation(rep) == (not expected)
+
+    @given(interval_reps(max_coord=6))
+    def test_names_the_first_broken_neighbours(self, rep):
+        pair = find_proper_containment(rep)
+        assert pair == first_broken_neighbours(rep)
+        assert pair is None or properly_contains(rep, *pair)
 
 
 class TestMaxCliqueSweep:
