@@ -14,6 +14,7 @@ import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import cycle
 
 from .graph import (
     Graph,
@@ -145,8 +146,10 @@ def round_robin_color(rep: IntervalRep, k: int) -> Coloring:
     if k < 1:
         raise ValueError("k must be >= 1")
     colors = [0] * rep.n
-    for pos, v in enumerate(interval_order(rep)):
-        colors[v] = pos % k
+    # cycle repeats the ints of its first pass, so the colors share at most
+    # min(k, n) int objects instead of one per vertex.
+    for v, color in zip(interval_order(rep), cycle(range(k))):
+        colors[v] = color
     return Coloring(tuple(colors), k)
 
 

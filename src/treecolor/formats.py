@@ -15,6 +15,13 @@ one pass: each row goes, as it is read, to the parser or the type that owns
 its rules. A parser checks only the rules that exist in files alone (a graph
 row has u < v and appears once; a coloring file lists each vertex once); the
 types check every other value.
+
+An intervals or coloring file in the plain shape the writers give it is read
+column by column (`_plain`), a chunk of rows at a time; any other file, and
+every graph and bin-packing file, is read row by row (`_Rows`). The column
+route only declines: on a file it cannot read, or one with a defect, the row
+route reads the file again, so values, messages and the line of the first
+defect are the same on both routes.
 """
 
 from __future__ import annotations
@@ -122,6 +129,69 @@ class _Rows:
         raise ParseError(self.line, f"file ends after {rows} of {self.count} rows")
 
 
+# A chunk of plain rows holds only these bytes. Each newline becomes the
+# token ";". With as many tokens as rows of the format's width hold, every
+# row has that width unless a ";" falls in a column of fields, where int()
+# refuses it.
+_PLAIN_BYTES = b"0123456789- \n"
+_CHUNK = 1 << 16
+
+
+def _plain(path, kind: str) -> tuple[tuple[int, ...], list[list[int]]] | None:
+    """The header and the columns after the id, as lists of ints, of a file
+    of kind ('intervals' or 'coloring') in the shape `_write` gives it: the
+    header's words joined by single spaces (at most 256 bytes), then exactly
+    n rows, row i being the id i and the other fields, each line ended by a
+    newline. None for any other file, or for a token int() refuses: the row
+    route reads such a file and reports what it finds. The file is read
+    64 KB at a time, and nothing is sized by n: the rows are counted against
+    it as they are read."""
+    fields, _, row_fields = _LAYOUTS[kind]
+    stride = len(row_fields) + 1
+    try:
+        # The row route reads a declined file again, which a pipe forbids.
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        file = open(path, "rb")
+    except OSError:
+        return None
+    with file:
+        head = file.readline(256)
+        words = head[:-1].split(b" ")
+        if not (
+            head.endswith(b"\n")
+            and len(words) == 1 + len(fields)
+            and words[0] == kind.encode()
+            and all(map(bytes.isdigit, words[1:]))
+        ):
+            return None
+        header = tuple(map(int, words[1:]))
+        n = header[0]
+        columns: list[list[int]] = [[] for _ in row_fields[1:]]
+        rows, rest = 0, b""
+        while chunk := file.read(_CHUNK):
+            chunk = rest + chunk
+            cut = chunk.rfind(b"\n") + 1
+            chunk, rest = chunk[:cut], chunk[cut:]
+            lines = chunk.count(b"\n")
+            rows += lines
+            if rows > n or chunk.translate(None, _PLAIN_BYTES):
+                return None
+            tokens = chunk.replace(b"\n", b" ; ").split()
+            if len(tokens) != lines * stride:
+                return None
+            try:
+                if list(map(int, tokens[::stride])) != list(range(rows - lines, rows)):
+                    return None
+                for i, column in enumerate(columns, start=1):
+                    column.extend(map(int, tokens[i::stride]))
+            except ValueError:
+                return None
+    if rest or rows != n:
+        return None
+    return header, columns
+
+
 def _write(path, header: str, lines: Iterable[str]) -> None:
     """Write the header and then lines, joined 4,096 at a time, so memory is
     bounded by the chunk and not by the line count."""
@@ -132,22 +202,42 @@ def _write(path, header: str, lines: Iterable[str]) -> None:
             out.write("\n".join(chunk) + "\n")
 
 
-def _staged_path(target) -> str | None:
-    """A new empty file beside target, made as open(target, "w") would make
-    target, with target's mode when it is a regular file; None when target
-    is anything else (a directory, a device such as /dev/stdout, a symlink)
-    or no file can be made beside it."""
-    directory, name = os.path.split(os.fspath(target))
-    if name in ("", ".", ".."):
+def _resolved(target) -> str | None:
+    """The absolute path of the file target names, with the symlinks of its
+    last component followed; None for a link through /proc, such as
+    /dev/stdout, which names a file already open rather than a path, and for
+    a chain of more links than Linux follows (40)."""
+    path = os.path.abspath(target)
+    for _ in range(40):
+        if not os.path.islink(path):
+            return path
+        directory = os.path.realpath(os.path.dirname(path))
+        if directory.startswith("/proc/"):
+            return None
+        path = os.path.join(directory, os.readlink(path))
+    return None
+
+
+def _staged_path(target) -> tuple[str, str] | None:
+    """(a new empty file, the path to move it onto) for target: the path is
+    `_resolved(target)`, and the file is made beside it as open(target, "w")
+    would make it, with its mode when it is a regular file. None when that
+    path is anything else (a directory, a device such as /dev/tty), when
+    `_resolved` gives none, or when no file can be made beside it."""
+    if os.path.basename(os.fspath(target)) in ("", ".", ".."):
+        return None
+    path = _resolved(target)
+    if path is None:
         return None
     try:
-        mode = os.lstat(target).st_mode
+        mode = os.lstat(path).st_mode
     except FileNotFoundError:
         mode = None
     except OSError:
         return None
     if mode is not None and not stat.S_ISREG(mode):
         return None
+    directory, name = os.path.split(path)
     temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -156,35 +246,44 @@ def _staged_path(target) -> str | None:
     if mode is not None:
         os.fchmod(fd, stat.S_IMODE(mode))
     os.close(fd)
-    return temp
+    return temp, path
 
 
 def write_all(files: Sequence[tuple]) -> None:
     """Write each (target, writer, value) of files as writer(path, value),
     all or nothing: a target that `_staged_path` can stage is written to its
-    staged file, and the staged files are moved onto their targets, in order,
-    only once all are written; on an error they are removed. Any other
-    target is written directly, so an error in opening it names it."""
-    temps = [_staged_path(target) for target, _, _ in files]
+    staged file, and the staged files are moved onto their paths, in order,
+    only once all are written; on an error they are removed. So a symlink
+    stays a symlink, and the file behind it is replaced. Any other target is
+    written directly, so an error in opening it names it."""
+    staged = [_staged_path(target) for target, _, _ in files]
     try:
-        for temp, (target, write, value) in zip(temps, files):
+        for stage, (target, write, value) in zip(staged, files):
             try:
-                write(temp or target, value)
+                write(target if stage is None else stage[0], value)
             except OSError as exc:
                 exc.filename = os.fspath(target)
                 raise
-        for temp, (target, _, _) in zip(temps, files):
-            if temp is not None:
-                os.replace(temp, target)
+        for stage in filter(None, staged):
+            os.replace(*stage)
     except BaseException:
-        for temp in filter(None, temps):
+        for stage in filter(None, staged):
             with suppress(FileNotFoundError):
-                os.unlink(temp)
+                os.unlink(stage[0])
         raise
 
 
 def parse_intervals(path) -> IntervalRep:
-    return _intervals(_Rows(path, "intervals"))
+    rep = _plain_intervals(path)
+    return _intervals(_Rows(path, "intervals")) if rep is None else rep
+
+
+def _plain_intervals(path) -> IntervalRep | None:
+    plain = _plain(path, "intervals")
+    if plain is not None:
+        with suppress(RepresentationError):
+            return IntervalRep.from_columns(*plain[1])
+    return None
 
 
 def _intervals(rows: _Rows) -> IntervalRep:
@@ -220,7 +319,20 @@ def write_graph(path, g: Graph) -> None:
 
 
 def parse_coloring(path) -> Coloring:
-    rows = _Rows(path, "coloring")
+    coloring = _plain_coloring(path)
+    return _coloring(_Rows(path, "coloring")) if coloring is None else coloring
+
+
+def _plain_coloring(path) -> Coloring | None:
+    plain = _plain(path, "coloring")
+    if plain is not None:
+        (_, k), (colors,) = plain
+        with suppress(ColoringError):
+            return Coloring(colors, k)
+    return None
+
+
+def _coloring(rows: _Rows) -> Coloring:
     n, k = rows.header
     colors = [0] * n
     line_of = [0] * n  # 0 until the vertex's row is read
@@ -265,8 +377,11 @@ def write_labels(path, layout: GadgetLayout) -> None:
 
 
 def parse_graph_or_intervals(path) -> Graph | IntervalRep:
-    """A graph file as a Graph or an intervals file as an IntervalRep,
-    reading the file once."""
+    """A graph file as a Graph or an intervals file as an IntervalRep. Only
+    a file the column route declines is read again, row by row."""
+    rep = _plain_intervals(path)
+    if rep is not None:
+        return rep
     rows = _Rows(path, "graph", "intervals")
     return _graph(rows) if rows.kind == "graph" else _intervals(rows)
 

@@ -68,6 +68,19 @@ class IntervalRep:
         object.__setattr__(self, "lefts", tuple(lefts))
         object.__setattr__(self, "rights", tuple(rights))
 
+    @classmethod
+    def from_columns(cls, lefts: Sequence[int], rights: Sequence[int]) -> "IntervalRep":
+        """The rep whose vertex v is [lefts[v], rights[v]], for two int
+        columns of one length, which already use each id once: only
+        left <= right is checked, with no loop over entries."""
+        v = next(compress(count(), map(operator.gt, lefts, rights)), None)
+        if v is not None:
+            raise RepresentationError(v, f"vertex {v}: left {lefts[v]} > right {rights[v]}")
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "lefts", tuple(lefts))
+        object.__setattr__(rep, "rights", tuple(rights))
+        return rep
+
     @property
     def n(self) -> int:
         return len(self.lefts)

@@ -874,7 +874,7 @@ class TestHarness:
     }
 
     @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_FSIZE fails writes with EFBIG")
-    @pytest.mark.parametrize("target", ["new", "existing", "symlink"])
+    @pytest.mark.parametrize("target", ["new", "existing", "symlink", "linked"])
     @pytest.mark.parametrize("command", sorted(SINGLE_WRITERS))
     def test_failed_write_leaves_the_target_as_it_was(
         self, capsys, tmp_path, monkeypatch, command, target
@@ -882,35 +882,36 @@ class TestHarness:
         monkeypatch.chdir(tmp_path)
         write_intervals("big.intervals", gen_random_interval(2000, 100000, 1, proper=True))
         argv = self.SINGLE_WRITERS[command] + ["out"]
-        if target == "existing":
+        # A "symlink" names a missing file, a "linked" one an existing one.
+        existing = target in ("existing", "linked")
+        if target in ("symlink", "linked"):
+            os.symlink("real", "out")
+        if existing:
             Path("out").write_bytes(b"old bytes\n")
             os.chmod("out", 0o640)
-        elif target == "symlink":
-            os.symlink("real", "out")
         before = sorted(os.listdir())
         # Past an 8 KB file size limit every write fails (CPython ignores
-        # SIGXFSZ, so with EFBIG). A symlink is written through, not staged,
-        # so only a regular target is left as it was.
-        if target != "symlink":
-            child = run_limited(tmp_path, "RLIMIT_FSIZE", 8192, argv)
-            assert (child.returncode, child.stdout) == (1, "")
-            assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
-            assert "'out'" in child.stderr
-            assert sorted(os.listdir()) == before
-            if target == "existing":
-                assert Path("out").read_bytes() == b"old bytes\n"
-                assert stat.S_IMODE(os.stat("out").st_mode) == 0o640
+        # SIGXFSZ, so with EFBIG). A symlink's file is staged beside the
+        # file the link names, so no target is changed and nothing is left.
+        child = run_limited(tmp_path, "RLIMIT_FSIZE", 8192, argv)
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+        assert "'out'" in child.stderr
+        assert sorted(os.listdir()) == before
+        if existing:
+            assert Path("out").read_bytes() == b"old bytes\n"
+            assert stat.S_IMODE(os.stat("out").st_mode) == 0o640
         # Without the limit the same run writes its file: an existing target
         # keeps its mode, a new one gets the mode open(path, "w") gives, and
-        # a symlink is written through and stays a symlink.
+        # a symlink's file is replaced and the link stays a symlink.
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "") and out.endswith("\nwrote=out\n")
         assert Path("out").read_text().split("\n", 1)[0] in ("coloring 2000 100", "intervals 2000")
         umask = os.umask(0)
         os.umask(umask)
-        mode = 0o640 if target == "existing" else 0o666 & ~umask
+        mode = 0o640 if existing else 0o666 & ~umask
         assert stat.S_IMODE(os.stat("out").st_mode) == mode
-        assert os.path.islink("out") == (target == "symlink")
+        assert os.path.islink("out") == (target in ("symlink", "linked"))
         assert not [name for name in os.listdir() if name.endswith(".tmp")]
 
     @pytest.mark.parametrize(

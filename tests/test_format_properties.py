@@ -3,18 +3,22 @@
 Any text gives a value or a ParseError; a file with one defective row is
 reported on that row's line, whichever of the reader or the type owns the
 broken rule, and a file with two on the first of them; line numbers count
-every line boundary of str.splitlines; and arbitrary bytes given to the CLI
-as the input file of `analyze`, `color`, `decide`, `solve` or either gadget
-`gen`, or as either file of `verify`, end in exit 1 with an `error:` line.
+every line boundary of str.splitlines; a file in the writers' plain shape,
+or one perturbation of it, reads the same on the column route as on the row
+route; and arbitrary bytes given to the CLI as the input file of `analyze`,
+`color`, `decide`, `solve` or either gadget `gen`, or as either file of
+`verify`, end in exit 1 with an `error:` line.
 """
 
 import contextlib
 import io
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treecolor import formats
 from treecolor.cli import main
 from treecolor.formats import (
     ParseError,
@@ -186,6 +190,106 @@ def test_bad_row_line_counts_every_line_boundary(case, data, workdir):
     with pytest.raises(ParseError) as excinfo:
         parse(path)
     assert excinfo.value.line == line, repr(text)
+
+
+# Perturbations of a plain file: of its numbers, then of its framing. A
+# "bad_value" is left > right or a color >= k; a "cr" splits a row in two.
+NUMBERS = ["none", "permuted", "minus_zero", "leading_zeros", "underscore",
+           "bad_value", "k_zero", "short", "long"]
+FRAMINGS = ["none", "comment", "blank", "crlf", "cr", "tab", "double_space",
+            "no_final_newline"]
+
+
+@st.composite
+def plain_files(draw):
+    """(kind, text, perturbations): an intervals or coloring file of up to 6
+    rows as `_write` writes it, with at most one perturbation of its numbers
+    and one of its framing."""
+    kind = draw(st.sampled_from(["intervals", "coloring"]))
+    n = draw(st.integers(0, 6))
+    if kind == "intervals":
+        header = ["intervals", n]
+        rows = []
+        for v in range(n):
+            lo = draw(st.integers(-30, 30))
+            rows.append([v, lo, lo + draw(st.integers(0, 12))])
+    else:
+        k = draw(st.integers(1, 4))
+        header = ["coloring", n, k]
+        rows = [[v, draw(st.integers(0, k - 1))] for v in range(n)]
+    numbers, framing = draw(st.sampled_from(NUMBERS)), draw(st.sampled_from(FRAMINGS))
+    if numbers == "permuted":
+        rows = draw(st.permutations(rows))
+    elif numbers in ("minus_zero", "leading_zeros", "underscore") and rows:
+        row = draw(st.sampled_from(rows))
+        c = draw(st.integers(0, len(row) - 1))
+        value = row[c]
+        if numbers == "minus_zero":
+            row[c] = "-0"
+        elif numbers == "leading_zeros":
+            row[c] = f"-00{-value}" if value < 0 else f"00{value}"
+        else:
+            digits = str(abs(value) + 10)
+            row[c] = "-" * (value < 0) + digits[0] + "_" + digits[1:]
+    elif numbers == "bad_value" and rows:
+        row = draw(st.sampled_from(rows))
+        if kind == "intervals":
+            row[2] = row[1] - draw(st.integers(1, 3))
+        else:
+            row[1] = header[2] + draw(st.integers(0, 2))
+    elif numbers == "k_zero" and kind == "coloring":
+        header[2] = 0
+    elif numbers == "short" and rows:
+        rows.pop(draw(st.integers(0, n - 1)))
+    elif numbers == "long":
+        rows.insert(draw(st.integers(0, n)), [n, 0, 1] if kind == "intervals" else [n, 0])
+    lines = [" ".join(map(str, line)) for line in [header, *rows]]
+    if framing in ("comment", "blank"):
+        extra = "# note" if framing == "comment" else ""
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    text = "".join(line + "\n" for line in lines)
+    spaces = [i for i, char in enumerate(text) if char == " "]
+    if framing == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif framing in ("cr", "tab", "double_space") and spaces:
+        i = draw(st.sampled_from(spaces))
+        text = text[:i] + {"cr": "\r", "tab": "\t", "double_space": "  "}[framing] + text[i + 1 :]
+    elif framing == "no_final_newline":
+        text = text[:-1]
+    return kind, text, (numbers, framing)
+
+
+def read(parse, path):
+    """parse(path)'s value, or the text of the ParseError it raises."""
+    try:
+        return parse(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400)
+@given(case=plain_files())
+# An extra row with no newline after n plain rows.
+@example(case=("intervals", "intervals 1\n0 0 1\n1 2 3", ("long", "no_final_newline")))
+def test_column_route_agrees_with_the_row_route(case, workdir):
+    # Each public reader gives what the row route alone gives, value or
+    # message, and the column route declines every file the row route
+    # rejects. It reads the unperturbed file, so the property is not empty.
+    kind, text, perturbations = case
+    path = workdir / "plain"
+    path.write_bytes(text.encode())
+    if kind == "intervals":
+        readers, column_route = [parse_intervals, parse_graph_or_intervals], formats._plain_intervals
+    else:
+        readers, column_route = [parse_coloring], formats._plain_coloring
+    for parse in readers:
+        with mock.patch.object(formats, "_plain", lambda path, kind: None):
+            expected = read(parse, path)
+        assert read(parse, path) == expected, text
+    if isinstance(expected, str):
+        assert column_route(path) is None, text
+    if perturbations == ("none", "none"):
+        assert column_route(path) == expected, text
 
 
 @pytest.mark.parametrize(

@@ -195,16 +195,22 @@ class TestReaderMemory:
         assert len(colors) == 100_000 and peak <= 20 * 2**20
 
     @pytest.mark.parametrize(
-        "parse,header",
+        "parse,text",
         [
             (parse_intervals, "intervals 1000000000"),
             (parse_coloring, "coloring 1000000000 2"),
             (parse_binpacking, "binpacking 1000000000 1 1"),
+            # Headers over rows in the writers' shape, which the column route
+            # reads first; it must count the rows before anything uses n.
+            (parse_intervals, "intervals 100000000000000000000\n0 0 1\n1 2 3"),
+            (parse_intervals, "intervals 3000000000\n0 0 1"),
+            (parse_coloring, "coloring 100000000000000000000 3\n0 0\n1 2"),
         ],
     )
-    def test_count_beyond_the_file_is_a_short_file(self, tmp_path, parse, header):
+    def test_count_beyond_the_file_is_a_short_file(self, tmp_path, parse, text):
         path = tmp_path / "huge"
-        path.write_text(header + "\n")
+        path.write_text(text + "\n")
+        header, *rows = text.split("\n")
 
         def rejected():
             with pytest.raises(ParseError) as excinfo:
@@ -212,5 +218,6 @@ class TestReaderMemory:
             return excinfo.value
 
         error, peak = traced_peak(rejected)
-        assert str(error) == "line 1: file ends after 0 of 1000000000 rows"
+        n = header.split()[1]
+        assert str(error) == f"line {1 + len(rows)}: file ends after {len(rows)} of {n} rows"
         assert peak <= 2**20
