@@ -224,6 +224,13 @@ def exact_solve(
     without changing the result. Intended for small graphs (n up to ~14 in
     general; structured instances reach further).
 
+    One rule fixes the sizes. With f = n // k and e = n % k, a class of
+    `count` vertices takes one more iff count < f, or count == f while fewer
+    than e classes hold f + 1. After j vertices every class then holds at
+    most f + 1, and at most e classes do, so the classes below f lack
+    k*f - j + #(classes at f + 1) <= n - j vertices in all: the vertices
+    left can always fill them, and at j = n every class holds f or f + 1.
+
     Raises SolveTimeout when time_limit (seconds) elapses first.
     """
     if k < 1:
@@ -234,7 +241,6 @@ def exact_solve(
     deadline = None if time_limit is None else time.monotonic() + time_limit
 
     floor_size, enlarged = divmod(n, k)
-    cap = floor_size + 1 if enlarged else floor_size
 
     prior_neighbors = [a[: bisect_left(a, v)] for v, a in enumerate(g.adj)]
     # Positions p where no edge joins {0..p-1} to {p..n-1}: the union-find
@@ -252,7 +258,6 @@ def exact_solve(
     colors = [0] * n
     counts = [0] * k
     marks = [0] * n
-    deficit = floor_size * k
     full = opened = ticks = 0
     dsu = _RollbackUnionFind(n)
     union, rewind, trail = dsu.union, dsu.rewind, dsu.trail
@@ -269,13 +274,9 @@ def exact_solve(
             if cut_point[v] and tuple(sorted(counts)) in failed_profiles:
                 c = k
         top = opened + 1 if opened < k else k
-        remaining = n - v - 1
         for c in range(c, top):
             count = counts[c]
-            if count >= cap or (enlarged and count + 1 == cap and full == enlarged):
-                continue
-            fills_floor = count < floor_size
-            if deficit - fills_floor > remaining:
+            if count > floor_size or (count == floor_size and full == enlarged):
                 continue
             mark = len(trail)
             for u in prior_neighbors[v]:
@@ -294,8 +295,7 @@ def exact_solve(
             c = colors[v]
             count = counts[c] - 1
             counts[c] = count
-            deficit += count < floor_size
-            full -= enlarged and count + 1 == cap
+            full -= count == floor_size
             opened -= count == 0
             rewind(marks[v])
             c += 1
@@ -303,8 +303,7 @@ def exact_solve(
         colors[v] = c
         counts[c] = count + 1
         marks[v] = mark
-        deficit -= fills_floor
-        full += enlarged and count + 1 == cap
+        full += count == floor_size
         opened += count == 0
         v += 1
         if v == n:

@@ -16,12 +16,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 
 class RepresentationError(ValueError):
-    """An interval representation violates its structural invariants.
-    Carries the position of the offending entry."""
-
-    def __init__(self, position: int, message: str):
-        self.position = position
-        super().__init__(message)
+    """An interval representation violates its structural invariants."""
 
 
 class ProperContainmentError(ValueError):
@@ -53,16 +48,16 @@ class IntervalRep:
         n = len(entries)
         lefts: list[int | None] = [None] * n
         rights = [0] * n
-        for position, (v, lo, hi) in enumerate(entries):
+        for v, lo, hi in entries:
             v, lo, hi = operator.index(v), operator.index(lo), operator.index(hi)
             if not 0 <= v < n:
                 raise RepresentationError(
-                    position, f"vertex id {v} outside 0..{n - 1}, so an id is missing"
+                    f"vertex id {v} outside 0..{n - 1}, so an id is missing"
                 )
             if lefts[v] is not None:
-                raise RepresentationError(position, f"duplicate vertex id {v}")
+                raise RepresentationError(f"duplicate vertex id {v}")
             if lo > hi:
-                raise RepresentationError(position, f"vertex {v}: left {lo} > right {hi}")
+                raise RepresentationError(f"vertex {v}: left {lo} > right {hi}")
             lefts[v] = lo
             rights[v] = hi
         object.__setattr__(self, "lefts", tuple(lefts))
@@ -75,7 +70,7 @@ class IntervalRep:
         left <= right is checked, with no loop over entries."""
         v = next(compress(count(), map(operator.gt, lefts, rights)), None)
         if v is not None:
-            raise RepresentationError(v, f"vertex {v}: left {lefts[v]} > right {rights[v]}")
+            raise RepresentationError(f"vertex {v}: left {lefts[v]} > right {rights[v]}")
         rep = object.__new__(cls)
         object.__setattr__(rep, "lefts", tuple(lefts))
         object.__setattr__(rep, "rights", tuple(rights))

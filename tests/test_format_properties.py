@@ -193,9 +193,11 @@ def test_bad_row_line_counts_every_line_boundary(case, data, workdir):
 
 
 # Perturbations of a plain file: of its numbers, then of its framing. A
-# "bad_value" is left > right or a color >= k; a "cr" splits a row in two.
+# "bad_value" is left > right or a color >= k; an "inner_minus" field such
+# as 3-1 holds only plain bytes, but int() refuses it; a "cr" splits a row
+# in two.
 NUMBERS = ["none", "permuted", "minus_zero", "leading_zeros", "underscore",
-           "bad_value", "k_zero", "short", "long"]
+           "inner_minus", "bad_value", "k_zero", "short", "long"]
 FRAMINGS = ["none", "comment", "blank", "crlf", "cr", "tab", "double_space",
             "no_final_newline"]
 
@@ -220,7 +222,7 @@ def plain_files(draw):
     numbers, framing = draw(st.sampled_from(NUMBERS)), draw(st.sampled_from(FRAMINGS))
     if numbers == "permuted":
         rows = draw(st.permutations(rows))
-    elif numbers in ("minus_zero", "leading_zeros", "underscore") and rows:
+    elif numbers in ("minus_zero", "leading_zeros", "underscore", "inner_minus") and rows:
         row = draw(st.sampled_from(rows))
         c = draw(st.integers(0, len(row) - 1))
         value = row[c]
@@ -228,6 +230,8 @@ def plain_files(draw):
             row[c] = "-0"
         elif numbers == "leading_zeros":
             row[c] = f"-00{-value}" if value < 0 else f"00{value}"
+        elif numbers == "inner_minus":
+            row[c] = f"{value}-1"
         else:
             digits = str(abs(value) + 10)
             row[c] = "-" * (value < 0) + digits[0] + "_" + digits[1:]
@@ -271,6 +275,8 @@ def read(parse, path):
 @given(case=plain_files())
 # An extra row with no newline after n plain rows.
 @example(case=("intervals", "intervals 1\n0 0 1\n1 2 3", ("long", "no_final_newline")))
+# A field of plain bytes that int() refuses.
+@example(case=("intervals", "intervals 1\n0 3-1 4\n", ("inner_minus", "none")))
 def test_column_route_agrees_with_the_row_route(case, workdir):
     # Each public reader gives what the row route alone gives, value or
     # message, and the column route declines every file the row route

@@ -14,6 +14,7 @@ from treecolor import (
     ConsistencyError,
     Graph,
     IntervalRep,
+    SplitPart,
     Verdict,
     build_interval_gadget,
     build_split_gadget,
@@ -402,6 +403,70 @@ class TestValidateLayoutRejects:
         )
         with pytest.raises(ConsistencyError, match="maximal-clique ordering"):
             validate_layout(corrupted)
+
+    def test_graph_with_an_isolated_vertex_more(self):
+        layout = build_interval_gadget(BinPackingInstance((2, 1), 3, 1))
+        g = layout.graph
+        longer = Graph.from_edges(g.n + 1, g.edges())
+        with pytest.raises(ConsistencyError, match="identity gives"):
+            validate_layout(replace(layout, graph=longer))
+
+    def test_clique_vertex_also_listed_as_independent(self):
+        layout = build_split_gadget(BinPackingInstance((2, 1), 3, 1))
+        first, *rest = layout.parts
+        twice = SplitPart(first.clique, (*first.independent, first.clique[-1]))
+        with pytest.raises(ConsistencyError, match="partition"):
+            validate_layout(replace(layout, parts=(twice, *rest)))
+
+    def test_clique_vertex_moved_off_its_first_hub(self):
+        # The last vertex of the first clique of step 2 takes the interval
+        # and the label of the second clique of step 2, so it leaves hub 0's
+        # reach. Graph, rep and labels still agree, every listed clique is
+        # maximal, and only the hub degree tells the layout apart.
+        layout = build_interval_gadget(BinPackingInstance((2, 2), 2, 2))
+        rep, part = layout.rep, layout.parts[0]
+        *kept, v = part.cliques[2]
+        u = part.cliques[3][0]
+        moved = with_interval(rep, v, rep.lefts[u], rep.rights[u])
+        cliques = (*part.cliques[:2], tuple(kept), (*part.cliques[3], v))
+        corrupted = replace(
+            layout,
+            graph=derive_graph(moved),
+            rep=moved,
+            parts=(ChainPart(cliques, part.hubs), *layout.parts[1:]),
+        )
+        with pytest.raises(ConsistencyError, match="hub 6 has degree 8, expected 9"):
+            validate_layout(corrupted)
+
+    def test_one_hub_over_three_cliques_lists_one_too_many(self):
+        # Each one-vertex clique with hub 3 is a maximal clique, and the hub's
+        # run is unbroken, but one hub must list 3 * 1 - 1 = 2 cliques.
+        layout = build_interval_gadget(BinPackingInstance((1,), 1, 1))
+        rep = IntervalRep(((0, 0, 1), (1, 4, 5), (2, 8, 9), (3, 0, 10)))
+        corrupted = replace(
+            layout,
+            graph=derive_graph(rep),
+            rep=rep,
+            parts=(ChainPart(((0,), (1,), (2,)), (3,)),),
+        )
+        assert not verify_maximal_clique_order(corrupted)
+
+    def test_vertex_whose_run_breaks_off(self):
+        # Vertex 0 lies in the first and third listed cliques, not in the
+        # second. Every listed clique is maximal and two hubs list 3 * 2 - 1
+        # cliques, so only the broken run tells the order apart.
+        layout = build_interval_gadget(BinPackingInstance((2,), 1, 2))
+        rep = IntervalRep(
+            ((0, 10, 45), (1, 10, 11), (2, 0, 1), (3, 25, 45),
+             (4, 55, 56), (5, 0, 30), (6, 40, 60))
+        )
+        corrupted = replace(
+            layout,
+            graph=derive_graph(rep),
+            rep=rep,
+            parts=(ChainPart(((0, 1), (2,), (0, 3), (4,)), (5, 6)),),
+        )
+        assert not verify_maximal_clique_order(corrupted)
 
 
 class TestWitnessMaps:
