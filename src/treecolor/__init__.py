@@ -14,6 +14,7 @@ from .coloring import (
     Verdict,
     decide_proper_interval,
     exact_solve,
+    greedy_color,
     guaranteed_k,
     proper_min_k,
     round_robin_color,
@@ -74,6 +75,7 @@ __all__ = [
     "first_monochromatic_cycle_edge",
     "first_monochromatic_triangle_edge",
     "gen_random_interval",
+    "greedy_color",
     "guaranteed_k",
     "interval_order",
     "is_proper_representation",

@@ -3,9 +3,11 @@
 A coloring with k classes is an equitable tree-coloring when every class
 induces a forest and any two class sizes differ by at most one. This module
 holds the verifier, the round-robin construction along the interval order,
-the decision procedure for proper representations, an exhaustive solver
-used as the ground-truth oracle, and the bound-first solver for interval
-representations that calls it only when both bounds leave the answer open.
+the decision procedure for proper representations, a polynomial greedy for
+interval representations, an exhaustive solver used as the ground-truth
+oracle, and the bound-first solver for interval representations that tries
+the greedy when both bounds leave the answer open and searches only when the
+greedy gives up.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import cycle
 
 from .graph import (
@@ -150,6 +153,63 @@ def round_robin_color(rep: IntervalRep, k: int) -> Coloring:
     # min(k, n) int objects instead of one per vertex.
     for v, color in zip(interval_order(rep), cycle(range(k))):
         colors[v] = color
+    return Coloring(tuple(colors), k)
+
+
+def greedy_color(rep: IntervalRep, k: int) -> Coloring | None:
+    """An equitable tree-k-coloring chosen greedily along the interval
+    order, or None when the greedy gets stuck; None is not a NO.
+
+    Each interval takes the least-used color, ties to the lowest, that has
+    fewer than two open intervals at its left (the rule of
+    `first_monochromatic_triangle_edge`, so no class closes a triangle) and
+    room under the equitable caps of `exact_solve`: with f, e = divmod(n, k),
+    a class of `count` vertices takes one more iff count < f, or count == f
+    while fewer than e classes hold f + 1. The caps alone suffice, by the
+    argument in `exact_solve`'s docstring: the vertices left can always fill
+    the classes below f, so a finished walk is equitable.
+
+    A heap holds (count, color) for exactly the colors with fewer than two
+    open intervals. When the least of them has no room, none has, since
+    every other has a count at least as large. So each interval costs
+    O(log k), after an O(n log n) sort by right, and no interval scans the
+    k colors.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = rep.n
+    lefts, rights = rep.lefts, rep.rights
+    floor_size, enlarged = divmod(n, k)
+    # From k = n on the classes hold at most one vertex each, so position p
+    # of the order takes color p: colors from n on are never reached.
+    used = min(k, n)
+    counts = [0] * used
+    open_counts = [0] * used
+    free = [(0, c) for c in range(used)]  # sorted, so already a heap
+    colors = [0] * n
+    by_right = sorted(range(n), key=rights.__getitem__)
+    ended = full = 0
+    for v in rep.order:
+        lo = lefts[v]
+        # An interval whose right is below lo precedes v in the order, so it
+        # is colored; v's own right stops the walk.
+        while rights[by_right[ended]] < lo:
+            c = colors[by_right[ended]]
+            open_counts[c] -= 1
+            if open_counts[c] == 1:
+                heappush(free, (counts[c], c))
+            ended += 1
+        if not free:
+            return None
+        count, c = heappop(free)
+        if count > floor_size or (count == floor_size and full == enlarged):
+            return None
+        colors[v] = c
+        counts[c] = count + 1
+        full += count == floor_size
+        open_counts[c] += 1
+        if open_counts[c] < 2:
+            heappush(free, (count + 1, c))
     return Coloring(tuple(colors), k)
 
 
@@ -315,18 +375,23 @@ def solve_intervals(
     rep: IntervalRep, k: int, *, time_limit: float | None = None
 ) -> Coloring | None:
     """An equitable tree-k-coloring of the intervals' graph, or None, by the
-    paper's two bounds first and the exhaustive search only between them.
+    paper's two bounds first, then the greedy, and the exhaustive search
+    only when all three leave the answer open.
 
     A clique of more than 2k intervals puts three of them in one class, a
     triangle, so the answer is NO. Otherwise the round-robin coloring is
     returned when the sweep verifies it; from k >= guaranteed_k(max_degree)
-    on it always does, and a failure there raises ConsistencyError. Only
-    below that threshold does `exact_solve` run on the derived graph.
+    on it always does, and a failure there raises ConsistencyError. Below
+    that threshold `greedy_color` runs; its coloring is returned once the
+    sweep verifies it too, and a greedy coloring that fails the sweep raises
+    ConsistencyError. Only when the greedy gives up does `exact_solve` run
+    on the derived graph.
 
-    time_limit counts from the call, so the bounds and the graph derivation
-    spend it too. A limit the bounds have used up raises SolveTimeout before
-    the derivation starts. A running derivation is not interrupted; the
-    search then raises SolveTimeout at once if the time is up.
+    time_limit counts from the call. The bounds and the greedy are
+    polynomial and run whatever it says; a limit they have used up raises
+    SolveTimeout before the derivation starts. A running derivation is not
+    interrupted; the search then raises SolveTimeout at once if the time is
+    up.
     """
     start = time.monotonic()
     if k < 1:
@@ -341,6 +406,11 @@ def solve_intervals(
         raise ConsistencyError(
             f"round robin fails at k={k}, at or above the guaranteed threshold"
         )
+    coloring = greedy_color(rep, k)
+    if coloring is not None:
+        if not verify_interval_coloring(rep, coloring).ok:
+            raise ConsistencyError(f"the greedy coloring at k={k} fails the sweep verifier")
+        return coloring
     if time_limit is not None and time.monotonic() - start >= time_limit:
         raise SolveTimeout("no verdict within the time limit")
     g = derive_graph(rep)

@@ -13,6 +13,9 @@ checks with superlinear cost that the tests hold the library to
 must match pair for pair. The recursive forms of the two exhaustive solvers
 (`exact_solve_recursive`, `solve_bin_packing_recursive`) are the references
 that the library's loops must match solution for solution.
+`greedy_color_scan` is the greedy's definition run literally, scanning every
+earlier interval and every color for each interval, which `greedy_color`'s
+heap must match color for color.
 """
 
 from itertools import combinations, product
@@ -137,6 +140,23 @@ def equal_intervals_rep(n: int) -> IntervalRep:
 def path_rep(n: int) -> IntervalRep:
     """Chain of touching unit intervals; derives the path P_n."""
     return IntervalRep(tuple((v, v, v + 1) for v in range(n)))
+
+
+def _spans_rep(spans) -> IntervalRep:
+    return IntervalRep(tuple((v, lo, hi) for v, (lo, hi) in enumerate(spans)))
+
+
+# (rep, k) pairs between the paper's two bounds with no equitable
+# tree-k-coloring. At omega = 2k: the three long intervals lie in all three
+# 4-cliques, each of which holds each color twice, so the three short ones
+# share a color with one long one, 4 against 2. At omega = 2k - 1: found by
+# a census of random reps; the exhaustive search, its recursive form and a
+# brute force over balanced colorings all say NO.
+WINDOW_NOS = (
+    (_spans_rep([(3, 16), (5, 7), (6, 17), (6, 17), (11, 12), (15, 16)]), 2),
+    (_spans_rep([(0, 7), (1, 21), (2, 4), (2, 17), (3, 16), (4, 17), (4, 20),
+                 (6, 7), (8, 13), (9, 12), (14, 22), (15, 15)]), 4),
+)
 
 
 def properly_contains(rep: IntervalRep, outer: int, inner: int) -> bool:
@@ -321,6 +341,34 @@ def exact_solve_recursive(g: Graph, k: int) -> Coloring | None:
     if search(0):
         return Coloring(tuple(colors), k)
     return None
+
+
+def greedy_color_scan(rep: IntervalRep, k: int) -> Coloring | None:
+    """`greedy_color` by its definition: each interval in interval order
+    takes the least-used color, ties to the lowest, with fewer than two
+    earlier intervals of that color still open at its left and room under
+    the equitable caps; None when no color fits. O(n * (n + k))."""
+    n = rep.n
+    floor_size, enlarged = divmod(n, k)
+    colors: list[int | None] = [None] * n
+    counts = [0] * k
+    for v in rep.order:
+        open_counts = [0] * k
+        for u in range(n):
+            if colors[u] is not None and rep.rights[u] >= rep.lefts[v]:
+                open_counts[colors[u]] += 1
+        full = sum(count > floor_size for count in counts)
+        fits = [
+            c for c in range(k)
+            if open_counts[c] < 2
+            and (counts[c] < floor_size or (counts[c] == floor_size and full < enlarged))
+        ]
+        if not fits:
+            return None
+        c = min(fits, key=lambda c: (counts[c], c))
+        colors[v] = c
+        counts[c] += 1
+    return Coloring(tuple(colors), k)
 
 
 def solve_bin_packing_recursive(inst: BinPackingInstance) -> list[list[int]] | None:

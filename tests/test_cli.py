@@ -19,7 +19,12 @@ from treecolor import (
     derive_graph,
     exact_solve,
     gen_random_interval,
+    greedy_color,
+    guaranteed_k,
     max_clique_sweep,
+    proper_min_k,
+    round_robin_color,
+    verify_interval_coloring,
 )
 from treecolor.cli import main
 from treecolor.formats import (
@@ -31,7 +36,7 @@ from treecolor.formats import (
     write_intervals,
 )
 
-from oracles import equal_intervals_rep, parse_labels
+from oracles import WINDOW_NOS, equal_intervals_rep, parse_labels
 
 
 @pytest.fixture
@@ -320,14 +325,18 @@ class TestSolve:
         assert (got, stats(out)["answer"], err) == (code, answer, "")
 
     def test_intervals_between_the_bounds_still_search(self, capsys, monkeypatch, tmp_path):
-        # omega = 8 <= 2k, round robin fails and k < guaranteed_k(13) = 7: only
-        # the exhaustive search can answer, so --timeout 0 ends it, before the
-        # graph is derived.
+        # omega = 8 <= 2k, k < guaranteed_k(15) = 8, and round robin and the
+        # greedy both fail: only the exhaustive search can answer, so
+        # --timeout 0 ends it, before the graph is derived.
         def refuse(rep):
             raise AssertionError("derive_graph called after the time limit")
 
+        rep = gen_random_interval(16, 64, 11)
+        assert rep.stats[0] <= 2 * 4 and 4 < guaranteed_k(rep.stats[2])
+        assert not verify_interval_coloring(rep, round_robin_color(rep, 4)).ok
+        assert greedy_color(rep, 4) is None
         path = tmp_path / "window.intervals"
-        write_intervals(path, gen_random_interval(16, 64, 0))
+        write_intervals(path, rep)
         with monkeypatch.context() as patch:
             patch.setattr(treecolor.coloring, "derive_graph", refuse)
             code, out, _ = run(capsys, ["solve", str(path), "--k", "4", "--timeout", "0"])
@@ -345,6 +354,31 @@ class TestSolve:
         code, out, err = run(capsys, ["solve", k4_file, "--k", "2"])
         assert code == 4 and out == ""
         assert err.startswith("error: internal consistency check failed: ")
+
+    def test_greedy_coloring_that_fails_the_verifier_exits_4(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # Between the bounds at k = 4, where round robin fails; a greedy that
+        # puts every vertex in class 0 must be caught by the sweep verifier.
+        path = tmp_path / "window.intervals"
+        write_intervals(path, gen_random_interval(16, 64, 0))
+        monkeypatch.setattr(
+            treecolor.coloring, "greedy_color", lambda rep, k: Coloring((0,) * rep.n, k)
+        )
+        code, out, err = run(capsys, ["solve", str(path), "--k", "4"])
+        assert code == 4 and out == ""
+        assert err.startswith("error: internal consistency check failed: ")
+
+    @pytest.mark.parametrize("rep, k", WINDOW_NOS)
+    def test_window_no_instances_are_searched_to_no(self, capsys, tmp_path, rep, k):
+        # Both lie between the bounds, where the greedy gives up and the
+        # search answers NO.
+        assert proper_min_k(rep.stats[0]) <= k < guaranteed_k(rep.stats[2])
+        assert greedy_color(rep, k) is None
+        path = tmp_path / "no.intervals"
+        write_intervals(path, rep)
+        code, out, err = run(capsys, ["solve", str(path), "--k", str(k)])
+        assert (code, stats(out)["answer"], err) == (2, "NO", "")
 
     @pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf", "-inf", "ten"])
     def test_timeout_must_be_finite_and_non_negative(self, capsys, k6_file, value):
@@ -713,20 +747,30 @@ class TestSweepRoute:
 
     def test_solve_bounds_never_search(self, capsys, monkeypatch, tmp_path, k6_file):
         def refuse(*args, **kwargs):
-            raise AssertionError("solve searched although a bound answers")
+            raise AssertionError("solve searched although a bound or the greedy answers")
 
         monkeypatch.setattr(treecolor.coloring, "derive_graph", refuse)
         monkeypatch.setattr(treecolor.coloring, "exact_solve", refuse)
         monkeypatch.setattr(treecolor.cli, "exact_solve", refuse)
         out_path = tmp_path / "c.coloring"
+        # Between the bounds at k = 4, where round robin fails and the greedy
+        # answers, whatever --timeout says.
+        window = tmp_path / "window.intervals"
+        greedy_path = tmp_path / "greedy.coloring"
+        rep = gen_random_interval(16, 64, 0)
+        assert not verify_interval_coloring(rep, round_robin_color(rep, 4)).ok
+        write_intervals(window, rep)
         cases = [
             (["solve", k6_file, "--k", "2"], 2, "NO"),
             (["solve", k6_file, "--k", "3", "--out", str(out_path)], 0, "YES"),
+            (["solve", str(window), "--k", "4", "--timeout", "0",
+              "--out", str(greedy_path)], 0, "YES"),
         ]
         for argv, expected, answer in cases:
             code, out, err = run(capsys, argv)
             assert (argv, code, stats(out)["answer"], err) == (argv, expected, answer, "")
         assert parse_coloring(out_path).class_sizes() == [2, 2, 2]
+        assert parse_coloring(greedy_path) == greedy_color(rep, 4)
 
     def test_each_interval_command_sweeps_once(self, capsys, monkeypatch, tmp_path, k4_file):
         # Every binding of max_clique_sweep in the package counts its calls.
@@ -741,8 +785,10 @@ class TestSweepRoute:
                 if module.__dict__.get("max_clique_sweep") is max_clique_sweep:
                     monkeypatch.setattr(module, "max_clique_sweep", counted)
         good = tmp_path / "good.coloring"
+        greedy = tmp_path / "greedy.intervals"
+        write_intervals(greedy, gen_random_interval(16, 64, 0))
         window = tmp_path / "window.intervals"
-        write_intervals(window, gen_random_interval(16, 64, 0))
+        write_intervals(window, gen_random_interval(16, 64, 11))
         once = [
             ["analyze", k4_file],
             ["color", k4_file, "--k", "2", "--out", str(good)],
@@ -753,14 +799,15 @@ class TestSweepRoute:
             ["verify", k4_file, str(tmp_path / "mono")],
         ]
         # solve reads m and its bounds from the one triple the rep keeps; the
-        # three reach the clique bound, the round robin and the search.
+        # four reach the clique bound, the round robin, the greedy and the
+        # search.
         searched = []
         monkeypatch.setattr(
             treecolor.coloring, "exact_solve",
             lambda *a, **kw: searched.append(a) or exact_solve(*a, **kw),
         )
         once += [["solve", k4_file, "--k", "1"], ["solve", k4_file, "--k", "2"],
-                 ["solve", str(window), "--k", "4"]]
+                 ["solve", str(greedy), "--k", "4"], ["solve", str(window), "--k", "4"]]
         for argv in once:
             calls.clear()
             code, _, err = run(capsys, argv)

@@ -17,6 +17,7 @@ from treecolor import (
     exact_solve,
     first_monochromatic_cycle_edge,
     gen_random_interval,
+    greedy_color,
     guaranteed_k,
     max_clique_sweep,
     proper_min_k,
@@ -27,7 +28,14 @@ from treecolor import (
 )
 from treecolor.coloring import _RollbackUnionFind
 
-from oracles import equal_intervals_rep, exact_solve_recursive, path_rep
+from census import census
+from oracles import (
+    WINDOW_NOS,
+    equal_intervals_rep,
+    exact_solve_recursive,
+    greedy_color_scan,
+    path_rep,
+)
 from test_graph import graphs, interval_reps
 
 
@@ -262,10 +270,14 @@ class TestSolveIntervals:
             solve_intervals(path_rep(3), 0)
 
     def test_time_limit_counts_the_graph_derivation(self, monkeypatch):
-        # Between the two bounds (omega = 8 <= 2k, round robin fails), so
-        # the graph is derived and searched; the search alone takes well
-        # under the limit, but the derivation has spent all of it.
-        rep = gen_random_interval(16, 64, 0)
+        # Between the two bounds (omega = 8 <= 2k, round robin and the
+        # greedy fail), so the graph is derived and searched; the search
+        # alone takes well under the limit, but the derivation has spent
+        # all of it.
+        rep = gen_random_interval(16, 64, 11)
+        assert rep.stats[0] <= 2 * 4 and 4 < guaranteed_k(rep.stats[2])
+        assert not verify_interval_coloring(rep, round_robin_color(rep, 4)).ok
+        assert greedy_color(rep, 4) is None
         derive = treecolor.coloring.derive_graph
 
         def slow_derive(rep):
@@ -275,6 +287,40 @@ class TestSolveIntervals:
         monkeypatch.setattr(treecolor.coloring, "derive_graph", slow_derive)
         with pytest.raises(SolveTimeout):
             solve_intervals(rep, 4, time_limit=0.05)
+
+
+class TestGreedyColor:
+    @settings(max_examples=200, deadline=None)
+    @given(interval_reps(max_n=12))
+    def test_same_colors_as_the_scan_and_never_a_false_yes(self, rep):
+        g = derive_graph(rep)
+        for k in range(1, rep.n + 2):
+            c = greedy_color(rep, k)
+            assert c == greedy_color_scan(rep, k), k
+            if c is not None:
+                assert verify_interval_coloring(rep, c).ok
+                assert verify_equitable_tree_coloring(g, c).ok
+                assert exact_solve(g, k) is not None
+
+    @pytest.mark.parametrize("rep, k", WINDOW_NOS)
+    def test_gives_up_on_the_window_no_instances(self, rep, k):
+        assert greedy_color(rep, k) is None
+        assert exact_solve(derive_graph(rep), k) is None
+        assert exact_solve_recursive(derive_graph(rep), k) is None
+
+    def test_rejects_bad_k(self):
+        with pytest.raises(ValueError):
+            greedy_color(path_rep(3), 0)
+
+
+class TestCensus:
+    def test_counts_sum_with_no_false_yes(self):
+        rows = census(range(40), 4, 10, time_limit=10.0)
+        assert rows and all(gap <= 0 for gap in rows)
+        for row in rows.values():
+            assert row["timeouts"] == 0
+            assert row["search_yes"] + row["search_no"] == row["pairs"]
+            assert row["false_yes"] == 0
 
 
 class TestAlgorithmInternalConsistency:
