@@ -287,6 +287,7 @@ def _plain_intervals(path) -> IntervalRep | None:
 
 
 def _intervals(rows: _Rows) -> IntervalRep:
+    """Rows read from outside: the one caller of IntervalRep's entries form."""
     try:
         return IntervalRep(rows)
     except RepresentationError as exc:

@@ -22,6 +22,7 @@ import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Collection, Iterator, Sequence
 
@@ -146,17 +147,22 @@ class ChainPart:
 
 @dataclass(frozen=True)
 class GadgetLayout:
-    """A built gadget graph with its labeled parts, one part per item, and
-    for an interval gadget the intervals that realize it."""
+    """A gadget's labeled parts, one part per item, and for an interval
+    gadget the intervals that realize it. `graph` is the parts' edge rule on
+    0..(largest labeled id), built on first use, so it agrees with the parts."""
 
     instance: BinPackingInstance
-    graph: Graph
     parts: tuple
     rep: IntervalRep | None = None
 
     @property
     def kind(self) -> str:
         return "split" if self.rep is None else "interval"
+
+    @cached_property
+    def graph(self) -> Graph:
+        n = max(chain.from_iterable(map(_part_vertices, self.parts)), default=-1) + 1
+        return Graph.from_edges(n, chain.from_iterable(map(_part_edges, self.parts)))
 
 
 def build_split_gadget(inst: BinPackingInstance) -> GadgetLayout:
@@ -172,12 +178,9 @@ def build_split_gadget(inst: BinPackingInstance) -> GadgetLayout:
     next_id = 0
     for a in inst.items:
         clique = tuple(range(next_id, next_id + width))
-        next_id += width
-        independent = tuple(range(next_id, next_id + a + 1))
-        next_id += a + 1
-        parts.append(SplitPart(clique, independent))
-    graph = Graph.from_edges(next_id, chain.from_iterable(map(_part_edges, parts)))
-    return GadgetLayout(inst, graph, tuple(parts))
+        next_id += width + a + 1
+        parts.append(SplitPart(clique, tuple(range(clique[-1] + 1, next_id))))
+    return GadgetLayout(inst, tuple(parts))
 
 
 def build_interval_gadget(inst: BinPackingInstance) -> GadgetLayout:
@@ -195,30 +198,31 @@ def build_interval_gadget(inst: BinPackingInstance) -> GadgetLayout:
     k = inst.bins
     width = 2 * k - 1
     parts = []
-    entries: list[tuple[int, int, int]] = []
+    lefts: list[int] = []
+    rights: list[int] = []
     next_id = 0
     base = 0
     for a in inst.items:
         cliques: list[tuple[int, ...]] = []
         hubs: list[int] = []
         for i in range(1, a + 1):
-            first = tuple(range(next_id, next_id + width))
-            next_id += width
-            second = tuple(range(next_id, next_id + width))
-            next_id += width
-            hub = next_id
-            next_id += 1
-            cliques.extend((first, second))
-            hubs.append(hub)
-            for u in first:
-                entries.append((u, base + 60 * i - 50, base + 60 * i - 40))
-            for u in second:
-                entries.append((u, base + 60 * i - 30, base + 60 * i - 20))
-            entries.append((hub, base + 60 * i - 45, base + 60 * i + (12 if i < a else -25)))
+            # Ids run first clique, second clique, hub, as the columns do.
+            cliques += (tuple(range(next_id, next_id + width)),
+                        tuple(range(next_id + width, next_id + 2 * width)))
+            hubs.append(next_id + 2 * width)
+            next_id += 2 * width + 1
+            step = base + 60 * i
+            lefts += [step - 50] * width + [step - 30] * width + [step - 45]
+            rights += [step - 40] * width + [step - 20] * width
+            rights.append(step + 12 if i < a else step - 25)
         parts.append(ChainPart(tuple(cliques), tuple(hubs)))
         base += 60 * a + 60
-    graph = Graph.from_edges(next_id, chain.from_iterable(map(_part_edges, parts)))
-    return GadgetLayout(inst, graph, tuple(parts), IntervalRep(tuple(entries)))
+    return GadgetLayout(inst, tuple(parts), IntervalRep.from_columns(lefts, rights))
+
+
+def _part_vertices(part: SplitPart | ChainPart) -> Iterator[int]:
+    """Every labeled vertex of the part, as often as it is listed."""
+    return chain(chain.from_iterable(part.cliques), part.attached)
 
 
 def _part_edges(part: SplitPart | ChainPart) -> Iterator[tuple[int, int]]:
@@ -272,45 +276,33 @@ def _is_maximal_clique(rep: IntervalRep, vertices: Collection[int]) -> bool:
 
 
 def validate_layout(layout: GadgetLayout) -> None:
-    """Structural checks for a built gadget; raises ConsistencyError.
+    """Structural checks for a gadget; raises ConsistencyError.
 
-    Covers the vertex-count identity (k(2n+B) split, k(4k-1)B interval), the
-    parts partitioning the vertex set, the label-implied edges matching the
-    graph, and for interval layouts the maximal clique ordering, the hub
-    degrees 3(2k-1) (2(2k-1) for the last hub) and the intervals' adjacency:
-    every graph edge joins two meeting intervals, and the graph has as many
-    edges as the intervals' graph, so the two edge sets are equal.
+    Covers, on the labels and before reading the graph, the vertex-count
+    identity (k(2n+B) split, k(4k-1)B interval) and the parts partitioning
+    the vertex set; the graph is their edge rule. For interval layouts it
+    covers the maximal clique ordering, the hub degrees 3(2k-1) (2(2k-1) for
+    the last hub) and the intervals' adjacency: every graph edge joins two
+    meeting intervals, and the graph has as many edges as the intervals'
+    graph, so the two edge sets are equal.
     """
-    inst = layout.instance
+    inst, rep = layout.instance, layout.rep
     k = inst.bins
-    g, rep = layout.graph, layout.rep
-    if rep is None:
-        expected_n = k * (2 * inst.n + inst.capacity)
-    else:
+    expected_n = k * (2 * inst.n + inst.capacity)
+    if rep is not None:
         expected_n = k * (4 * k - 1) * inst.capacity
-    if g.n != expected_n:
+    labeled = sorted(chain.from_iterable(map(_part_vertices, layout.parts)))
+    n = labeled[-1] + 1 if labeled else 0
+    if n != expected_n:
         raise ConsistencyError(
-            f"{layout.kind} gadget has {g.n} vertices, identity gives {expected_n}"
+            f"{layout.kind} gadget has {n} vertices, identity gives {expected_n}"
         )
-
-    labeled: list[int] = []
-    for part in layout.parts:
-        for clique in part.cliques:
-            labeled.extend(clique)
-        labeled.extend(part.attached)
-    if sorted(labeled) != list(range(g.n)):
+    if labeled != list(range(n)):
         raise ConsistencyError("part labels do not partition the vertex set")
-    # The parts partition the vertices, so their edges are distinct: they are
-    # the graph's edges iff the graph has each of them and there are g.m.
-    implied = missing = 0
-    for u, v in chain.from_iterable(map(_part_edges, layout.parts)):
-        implied += 1
-        missing += not g.has_edge(u, v)
-    if missing or implied != g.m:
-        raise ConsistencyError("label-implied edges differ from the graph")
     if rep is None:
         return
 
+    g = layout.graph
     lefts, rights = rep.lefts, rep.rights
     if rep.n != g.n or g.m != rep.stats[1] or not all(
         lefts[u] <= rights[v] and lefts[v] <= rights[u] for u, v in g.edges()
@@ -352,7 +344,7 @@ def coloring_from_packing(
                 colors[clique[0]] = bin_index
                 for t, u in enumerate(clique[1:]):
                     colors[u] = others[t // 2]
-    return Coloring(tuple(colors), k)
+    return Coloring(colors, k)
 
 
 def _check_partition(
@@ -412,20 +404,19 @@ def gen_random_interval(
     if max_coord < 1:
         raise ValueError("max_coord must be >= 1")
     rng = random.Random(seed)
+    lefts: list[int] = []
+    rights: list[int] = []
     if not proper:
-        entries = []
-        for v in range(n):
-            a = rng.randint(0, max_coord)
-            b = rng.randint(0, max_coord)
-            entries.append((v, min(a, b), max(a, b)))
-        return IntervalRep(tuple(entries))
+        for _ in range(n):
+            a, b = sorted((rng.randint(0, max_coord), rng.randint(0, max_coord)))
+            lefts.append(a)
+            rights.append(b)
+        return IntervalRep.from_columns(lefts, rights)
     if 2 * n > max_coord + 1:
         raise ValueError(
             f"cannot place {n} intervals with distinct endpoints in 0..{max_coord}"
         )
     coords = sorted(rng.sample(range(max_coord + 1), 2 * n))
-    lefts: list[int] = []
-    rights: list[int] = []
     for x in coords:
         if len(lefts) == n:
             rights.append(x)
@@ -435,4 +426,4 @@ def gen_random_interval(
             lefts.append(x)
         else:
             rights.append(x)
-    return IntervalRep(tuple((v, lefts[v], rights[v]) for v in range(n)))
+    return IntervalRep.from_columns(lefts, rights)

@@ -36,7 +36,8 @@ class IntervalRep:
     """Closed integer intervals, one per vertex id 0..n-1, read once from a
     sized iterable of (id, left, right) entries in any order and kept by id
     in the columns `lefts` and `rights`; reps of the same intervals are equal.
-    What the sweeps read is computed on first use and kept beside them."""
+    What the sweeps read is computed on first use and kept beside them. The
+    entries form serves rows read from outside; made intervals use columns."""
 
     entries: InitVar[Collection[tuple[int, int, int]]]
     lefts: tuple[int, ...] = field(init=False)

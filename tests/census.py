@@ -7,7 +7,10 @@ every k in the window and tries each route on its own: round robin (YES when
 the sweep verifies it), the greedy (YES when it finishes; the sweep must
 verify it), and the exhaustive search on the derived graph (YES, NO, or a
 timeout). Rows are keyed by omega - 2k. A `false_yes` is a round robin or
-greedy YES that the verifier or the search refutes; it must stay 0.
+greedy YES that the verifier or the search refutes; it must stay 0. A
+`round_robin_not_greedy` is a round robin YES whose coloring the greedy does
+not return; it must stay 0 too, since the greedy returns round robin's
+coloring whenever that verifies.
 
 Run from the repository root; it needs only the package and the standard
 library, and pytest does not collect it:
@@ -33,7 +36,7 @@ from treecolor import (
 )
 
 COLUMNS = ("pairs", "round_robin", "greedy", "search_yes", "search_no", "timeouts",
-           "false_yes")
+           "false_yes", "round_robin_not_greedy")
 
 
 def census(seeds, n_min: int, n_max: int, time_limit: float) -> dict[int, dict[str, int]]:
@@ -50,10 +53,12 @@ def census(seeds, n_min: int, n_max: int, time_limit: float) -> dict[int, dict[s
             row = rows.setdefault(omega - 2 * k, dict.fromkeys(COLUMNS, 0))
             row["pairs"] += 1
             yes = []
-            if verify_interval_coloring(rep, round_robin_color(rep, k)).ok:
-                row["round_robin"] += 1
-                yes.append(True)
+            round_robin = round_robin_color(rep, k)
             coloring = greedy_color(rep, k)
+            if verify_interval_coloring(rep, round_robin).ok:
+                row["round_robin"] += 1
+                row["round_robin_not_greedy"] += coloring != round_robin
+                yes.append(True)
             if coloring is not None:
                 row["greedy"] += 1
                 yes.append(verify_interval_coloring(rep, coloring).ok)

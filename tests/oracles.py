@@ -15,9 +15,12 @@ must match pair for pair. The recursive forms of the two exhaustive solvers
 that the library's loops must match solution for solution.
 `greedy_color_scan` is the greedy's definition run literally, scanning every
 earlier interval and every color for each interval, which `greedy_color`'s
-heap must match color for color.
+heap must match color for color. `gen_random_interval_entries` builds the
+seeded random reps the old way, from (id, left, right) entries, which the
+column-built `gen_random_interval` must equal.
 """
 
+import random
 from itertools import combinations, product
 from pathlib import Path
 from typing import Sequence
@@ -400,3 +403,32 @@ def solve_bin_packing_recursive(inst: BinPackingInstance) -> list[list[int]] | N
     if place(0):
         return [sorted(b) for b in bins]
     return None
+
+
+def gen_random_interval_entries(
+    n: int, max_coord: int, seed: int, proper: bool = False
+) -> IntervalRep:
+    """`gen_random_interval` as it was built from entries: the same draws
+    from the same generator, each interval passed to `IntervalRep` as an
+    (id, left, right) entry."""
+    rng = random.Random(seed)
+    if not proper:
+        entries = []
+        for v in range(n):
+            a = rng.randint(0, max_coord)
+            b = rng.randint(0, max_coord)
+            entries.append((v, min(a, b), max(a, b)))
+        return IntervalRep(tuple(entries))
+    coords = sorted(rng.sample(range(max_coord + 1), 2 * n))
+    lefts: list[int] = []
+    rights: list[int] = []
+    for x in coords:
+        if len(lefts) == n:
+            rights.append(x)
+        elif len(rights) == len(lefts):
+            lefts.append(x)
+        elif rng.random() < 0.5:
+            lefts.append(x)
+        else:
+            rights.append(x)
+    return IntervalRep(tuple((v, lefts[v], rights[v]) for v in range(n)))

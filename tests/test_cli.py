@@ -36,6 +36,7 @@ from treecolor.formats import (
     write_intervals,
 )
 
+from differential import differential
 from oracles import WINDOW_NOS, equal_intervals_rep, parse_labels
 
 
@@ -826,6 +827,15 @@ class TestSweepRoute:
 
 
 class TestHarness:
+    def test_differential_of_the_tree_against_itself_finds_no_difference(self, tmp_path):
+        # 20 ops pass through the whole 13-op cycle: every command and gen kind.
+        tree = Path(__file__).resolve().parents[1]
+        counts, differing = differential(tree, tree, 20, seed=0, work=tmp_path)
+        assert sum(counts.values()) == 20 and differing == []
+        assert {"analyze", "color", "decide", "verify", "solve"} <= set(counts)
+        assert {f"gen {kind}" for kind in ("random", "random-proper", "split-gadget",
+                                           "interval-gadget")} <= set(counts)
+
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, ["frobnicate"])
         assert code == 1

@@ -302,6 +302,18 @@ class TestGreedyColor:
                 assert verify_equitable_tree_coloring(g, c).ok
                 assert exact_solve(g, k) is not None
 
+    @settings(max_examples=200, deadline=None)
+    @given(interval_reps(max_n=12))
+    def test_returns_round_robin_whenever_it_verifies(self, rep):
+        # With p = r*k + c, the least free (count, color) at position p is
+        # (r, c) exactly when round robin's color for p closes no triangle,
+        # so a round robin that verifies is the greedy's coloring too. This
+        # is why solve_intervals may try round robin first.
+        for k in range(1, rep.n + 2):
+            round_robin = round_robin_color(rep, k)
+            if verify_interval_coloring(rep, round_robin).ok:
+                assert greedy_color(rep, k) == round_robin, k
+
     @pytest.mark.parametrize("rep, k", WINDOW_NOS)
     def test_gives_up_on_the_window_no_instances(self, rep, k):
         assert greedy_color(rep, k) is None
@@ -321,6 +333,7 @@ class TestCensus:
             assert row["timeouts"] == 0
             assert row["search_yes"] + row["search_no"] == row["pairs"]
             assert row["false_yes"] == 0
+            assert row["round_robin_not_greedy"] == 0
 
 
 class TestAlgorithmInternalConsistency:

@@ -1,6 +1,6 @@
 import tracemalloc
-from dataclasses import replace
-from itertools import combinations_with_replacement
+from dataclasses import fields, replace
+from itertools import chain, combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from treecolor import (
     ChainPart,
     Coloring,
     ConsistencyError,
+    GadgetLayout,
     Graph,
     IntervalRep,
     SplitPart,
@@ -34,6 +35,7 @@ from treecolor.gadgets import _is_maximal_clique
 
 from oracles import (
     chain_clique_sequence,
+    gen_random_interval_entries,
     is_maximal_clique_by_neighbors,
     is_star_free,
     maximal_cliques_networkx,
@@ -284,11 +286,49 @@ class TestLayoutKind:
         assert replace(layout, rep=None).kind == "split"
 
 
+def part_edges_by_definition(part):
+    """The part's edges read off its surface: the pairs of each clique, and
+    each attached vertex joined to every vertex of its window's cliques."""
+    for clique in part.cliques:
+        yield from combinations(clique, 2)
+    for w, cliques in part.windows():
+        for clique in cliques:
+            yield from ((u, w) for u in clique)
+
+
+class TestLayoutGraph:
+    @pytest.mark.parametrize("build", [build_split_gadget, build_interval_gadget])
+    @pytest.mark.parametrize(
+        "items,k", [((1,), 1), ((1, 1), 2), ((2, 1), 3), ((3, 2, 2, 1), 2), ((2, 2), 2)]
+    )
+    def test_graph_is_the_parts_edge_rule(self, build, items, k):
+        inst = BinPackingInstance(items, k, sum(items) // k)
+        layout = build(inst)
+        if layout.rep is None:
+            n = k * (2 * inst.n + inst.capacity)
+        else:
+            n = k * (4 * k - 1) * inst.capacity
+        edges = chain.from_iterable(map(part_edges_by_definition, layout.parts))
+        assert layout.graph.adj == Graph.from_edges(n, edges).adj
+        if layout.rep is not None:
+            assert layout.graph.adj == derive_graph(layout.rep).adj
+
+    def test_graph_is_built_once_and_is_no_field(self):
+        inst = BinPackingInstance((2, 1), 3, 1)
+        layout = build_interval_gadget(inst)
+        assert layout.graph is layout.graph
+        assert [f.name for f in fields(GadgetLayout)] == ["instance", "parts", "rep"]
+        fresh = build_interval_gadget(inst)
+        assert fresh == layout and hash(fresh) == hash(layout)
+        assert replace(layout, rep=None) != layout
+
+
 class TestValidateLayoutMemory:
     def test_interval_validation_peaks_below_4_mb(self):
         # n = 9,900 and m = 31,485: one set of the graph's edge tuples takes
         # about 3.8 MB, so the bound leaves no room for two of them.
         layout = build_interval_gadget(BinPackingInstance((300, 300, 300), 3, 300))
+        layout.graph  # built here, so that only the validation is traced
         tracemalloc.start()
         try:
             validate_layout(layout)
@@ -370,26 +410,6 @@ class TestValidateLayoutRejects:
         with pytest.raises(ConsistencyError, match="rep-derived adjacency"):
             validate_layout(corrupted)
 
-    @pytest.mark.parametrize("build", [build_split_gadget, build_interval_gadget])
-    def test_missing_label_edge(self, build):
-        layout = build(BinPackingInstance((2, 1), 3, 1))
-        edges = list(layout.graph.edges())[1:]
-        corrupted = replace(layout, graph=Graph.from_edges(layout.graph.n, edges))
-        with pytest.raises(ConsistencyError, match="label-implied edges"):
-            validate_layout(corrupted)
-
-    @pytest.mark.parametrize("build", [build_split_gadget, build_interval_gadget])
-    @pytest.mark.parametrize("dropped", [0, 1], ids=["added", "swapped"])
-    def test_edge_between_two_parts(self, build, dropped):
-        # Added, only the edge count differs; swapped for a label edge, the
-        # count holds and only the missing label edge differs.
-        layout = build(BinPackingInstance((2, 1), 3, 1))
-        u, v = layout.parts[0].attached[0], layout.parts[1].attached[0]
-        edges = [*list(layout.graph.edges())[dropped:], (u, v)]
-        corrupted = replace(layout, graph=Graph.from_edges(layout.graph.n, edges))
-        with pytest.raises(ConsistencyError, match="label-implied edges"):
-            validate_layout(corrupted)
-
     def test_non_maximal_listed_clique(self):
         # Graph, rep and labels agree on a triangle, but the second listed
         # clique, {hub} with an empty clique label, lies inside the first.
@@ -397,7 +417,6 @@ class TestValidateLayoutRejects:
         rep = IntervalRep(((0, 0, 1), (1, 0, 1), (2, 0, 1)))
         corrupted = replace(
             layout,
-            graph=derive_graph(rep),
             rep=rep,
             parts=(ChainPart(((0, 1), ()), (2,)),),
         )
@@ -405,11 +424,15 @@ class TestValidateLayoutRejects:
             validate_layout(corrupted)
 
     def test_graph_with_an_isolated_vertex_more(self):
+        # The last part labels one hub more, with no clique left in its
+        # window, so the graph gains an isolated vertex and nothing else.
         layout = build_interval_gadget(BinPackingInstance((2, 1), 3, 1))
-        g = layout.graph
-        longer = Graph.from_edges(g.n + 1, g.edges())
+        *rest, last = layout.parts
+        n = layout.graph.n
+        longer = replace(layout, parts=(*rest, ChainPart(last.cliques, (*last.hubs, n))))
+        assert longer.graph.adj == (*layout.graph.adj, ())
         with pytest.raises(ConsistencyError, match="identity gives"):
-            validate_layout(replace(layout, graph=longer))
+            validate_layout(longer)
 
     def test_clique_vertex_also_listed_as_independent(self):
         layout = build_split_gadget(BinPackingInstance((2, 1), 3, 1))
@@ -431,7 +454,6 @@ class TestValidateLayoutRejects:
         cliques = (*part.cliques[:2], tuple(kept), (*part.cliques[3], v))
         corrupted = replace(
             layout,
-            graph=derive_graph(moved),
             rep=moved,
             parts=(ChainPart(cliques, part.hubs), *layout.parts[1:]),
         )
@@ -445,7 +467,6 @@ class TestValidateLayoutRejects:
         rep = IntervalRep(((0, 0, 1), (1, 4, 5), (2, 8, 9), (3, 0, 10)))
         corrupted = replace(
             layout,
-            graph=derive_graph(rep),
             rep=rep,
             parts=(ChainPart(((0,), (1,), (2,)), (3,)),),
         )
@@ -462,7 +483,6 @@ class TestValidateLayoutRejects:
         )
         corrupted = replace(
             layout,
-            graph=derive_graph(rep),
             rep=rep,
             parts=(ChainPart(((0, 1), (2,), (0, 3), (4,)), (5, 6)),),
         )
@@ -557,6 +577,13 @@ class TestRandomIntervalGenerator:
     def test_proper_mode_needs_room(self):
         with pytest.raises(ValueError):
             gen_random_interval(6, 10, seed=0, proper=True)
+
+    @pytest.mark.parametrize("proper", [False, True], ids=["random", "proper"])
+    @pytest.mark.parametrize("n,max_coord", [(0, 1), (1, 1), (7, 20), (60, 200), (400, 5000)])
+    def test_columns_equal_the_entries_build(self, proper, n, max_coord):
+        for seed in range(5):
+            rep = gen_random_interval(n, max_coord, seed, proper=proper)
+            assert rep == gen_random_interval_entries(n, max_coord, seed, proper=proper)
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
