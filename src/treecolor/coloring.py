@@ -172,13 +172,13 @@ def greedy_color(rep: IntervalRep, k: int) -> Coloring | None:
     A heap holds (count, color) for exactly the colors with fewer than two
     open intervals. When the least of them has no room, none has, since
     every other has a count at least as large. So each interval costs
-    O(log k), after an O(n log n) sort by right, and no interval scans the
-    k colors.
+    O(log k), past the rep's cached sorts, and no interval scans the k
+    colors. Ended intervals are retired with one pointer into `by_right`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = rep.n
-    lefts, rights = rep.lefts, rep.rights
+    lefts, rights, by_right = rep.lefts, rep.rights, rep.by_right
     floor_size, enlarged = divmod(n, k)
     # From k = n on the classes hold at most one vertex each, so position p
     # of the order takes color p: colors from n on are never reached.
@@ -187,7 +187,6 @@ def greedy_color(rep: IntervalRep, k: int) -> Coloring | None:
     open_counts = [0] * used
     free = [(0, c) for c in range(used)]  # sorted, so already a heap
     colors = [0] * n
-    by_right = sorted(range(n), key=rights.__getitem__)
     ended = full = 0
     for v in rep.order:
         lo = lefts[v]

@@ -24,6 +24,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from math import ceil, log
 from typing import Collection, Iterator, Sequence
 
 from .coloring import Coloring, ConsistencyError, verify_equitable_tree_coloring
@@ -271,7 +272,8 @@ def _is_maximal_clique(rep: IntervalRep, vertices: Collection[int]) -> bool:
     right < lo. Expects at least one member."""
     lo = max(map(rep.lefts.__getitem__, vertices))
     hi = min(map(rep.rights.__getitem__, vertices))
-    meeting = bisect_right(rep.ordered_lefts, hi) - bisect_left(rep.sorted_rights, lo)
+    ended = bisect_left(rep.by_right, lo, key=rep.rights.__getitem__)
+    meeting = bisect_right(rep.ordered_lefts, hi) - ended
     return lo <= hi and meeting == len(vertices)
 
 
@@ -390,6 +392,23 @@ def packing_from_coloring(layout: GadgetLayout, c: Coloring) -> list[list[int]]:
     return partition
 
 
+def _sorted_sample(rng: random.Random, size: int, k: int) -> list[int]:
+    """sorted(rng.sample(range(size), k)) by the same calls on rng. Where
+    `sample` would copy the range into a pool list (its own size test,
+    below), its swaps are kept in a dict of the moved slots instead, so
+    memory follows k and not size."""
+    pool_size = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
+    if size > pool_size:
+        return sorted(rng.sample(range(size), k))
+    moved: dict[int, int] = {}
+    drawn = []
+    for last in range(size - 1, size - 1 - k, -1):
+        j = rng.randrange(last + 1)
+        drawn.append(moved.get(j, j))
+        moved[j] = moved.pop(last, last)
+    return sorted(drawn)
+
+
 def gen_random_interval(
     n: int, max_coord: int, seed: int, proper: bool = False
 ) -> IntervalRep:
@@ -416,7 +435,7 @@ def gen_random_interval(
         raise ValueError(
             f"cannot place {n} intervals with distinct endpoints in 0..{max_coord}"
         )
-    coords = sorted(rng.sample(range(max_coord + 1), 2 * n))
+    coords = _sorted_sample(rng, max_coord + 1, 2 * n)
     for x in coords:
         if len(lefts) == n:
             rights.append(x)

@@ -82,22 +82,22 @@ class IntervalRep:
         return len(self.lefts)
 
     @cached_property
+    def by_right(self) -> tuple[int, ...]:
+        """Vertices sorted by (right, id), the order in which intervals end:
+        the sweeps retire ended intervals with one pointer into it."""
+        return tuple(sorted(range(self.n), key=self.rights.__getitem__))
+
+    @cached_property
     def order(self) -> tuple[int, ...]:
         """Vertices sorted by (left, right, id), the order every sweep reads."""
-        # Sorts are stable and range(n) is in id order, so sorting by right
-        # and then by left leaves ties in (right, id) order.
-        order = sorted(range(self.n), key=self.rights.__getitem__)
-        order.sort(key=self.lefts.__getitem__)
-        return tuple(order)
+        # Sorts are stable, so sorting by_right by left leaves ties in
+        # (right, id) order.
+        return tuple(sorted(self.by_right, key=self.lefts.__getitem__))
 
     @cached_property
     def ordered_lefts(self) -> tuple[int, ...]:
         """The lefts in interval order, the sequence the sweeps bisect."""
         return tuple(map(self.lefts.__getitem__, self.order))
-
-    @cached_property
-    def sorted_rights(self) -> tuple[int, ...]:
-        return tuple(sorted(self.rights))
 
     @cached_property
     def stats(self) -> tuple[int, int, int]:
@@ -200,8 +200,8 @@ def is_proper_representation(rep: IntervalRep) -> bool:
 
 def max_clique_sweep(rep: IntervalRep) -> tuple[int, int, int]:
     """(clique number, edge count, max degree) of the intersection graph,
-    from one merge of the lefts in interval order with the sorted rights,
-    without listing an edge; `IntervalRep.stats` keeps it for every reader.
+    from one merge of the lefts in interval order with the rights in
+    `by_right` order, without listing an edge; `IntervalRep.stats` keeps it.
 
     At the i-th left, `ended` rights lie strictly before it, so i - ended
     intervals cover that point, since closed intervals touching in a point
@@ -210,11 +210,11 @@ def max_clique_sweep(rep: IntervalRep) -> tuple[int, int, int]:
     counts every edge once, at its later interval. Its degree is the number
     of lefts <= its right, less the ended intervals and itself.
     """
-    lefts, rights = rep.ordered_lefts, rep.sorted_rights
+    lefts, rights, by_right = rep.ordered_lefts, rep.rights, rep.by_right
     omega = m = max_degree = ended = 0
-    ordered_rights = map(rep.rights.__getitem__, rep.order)
+    ordered_rights = map(rights.__getitem__, rep.order)
     for seen, (lo, hi) in enumerate(zip(lefts, ordered_rights), start=1):
-        while rights[ended] < lo:
+        while rights[by_right[ended]] < lo:
             ended += 1
         depth = seen - ended
         m += depth - 1
@@ -261,22 +261,29 @@ def first_monochromatic_triangle_edge(
     Interval graphs are chordal, so a color class induces a forest iff it
     has no triangle, and three pairwise intersecting intervals share a point
     (Helly), namely the left of the last of them in interval order. One walk
-    of that order that keeps the open intervals of each color therefore
+    of that order that counts the open intervals of each color therefore
     decides what `first_monochromatic_cycle_edge` decides on the derived
-    graph, in O(n log n) time and without listing an edge. An interval is
-    open at left(v) while its right is >= left(v), since touching intervals
-    intersect. The returned edge joins the two smallest ids of the triangle.
-    `colors` must give every vertex a color.
+    graph, without listing an edge. An interval is open at left(v) while its
+    right is >= left(v), since touching intervals intersect; ended ones are
+    retired through `by_right`, as in `max_clique_sweep`. The returned edge
+    joins the two smallest ids of the triangle. `colors` must give every
+    vertex a color, any ints.
     """
-    lefts, rights = rep.lefts, rep.rights
-    open_by_color: dict[int, list[int]] = {}
-    for v in rep.order:
+    order, lefts, rights, by_right = rep.order, rep.lefts, rep.rights, rep.by_right
+    open_counts: dict[int, int] = {}
+    ended = 0
+    for p, v in enumerate(order):
         lo = lefts[v]
-        # At most two intervals per color are open; drop the ended ones here.
-        members = [u for u in open_by_color.get(colors[v], ()) if rights[u] >= lo]
-        if len(members) == 2:
-            a, b, _ = sorted((*members, v))
+        # An interval whose right is below lo precedes v in the order, so it
+        # is counted; v's own right stops the walk.
+        while rights[by_right[ended]] < lo:
+            open_counts[colors[by_right[ended]]] -= 1
+            ended += 1
+        c = colors[v]
+        opened = open_counts.get(c, 0)
+        if opened == 2:  # one scan names the two open intervals of color c
+            a, b = (u for u in islice(order, p) if colors[u] == c and rights[u] >= lo)
+            a, b, _ = sorted((a, b, v))
             return (a, b)
-        members.append(v)
-        open_by_color[colors[v]] = members
+        open_counts[c] = opened + 1
     return None

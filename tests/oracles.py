@@ -18,6 +18,9 @@ earlier interval and every color for each interval, which `greedy_color`'s
 heap must match color for color. `gen_random_interval_entries` builds the
 seeded random reps the old way, from (id, left, right) entries, which the
 column-built `gen_random_interval` must equal.
+`first_monochromatic_triangle_edge_by_lists` is the triangle sweep that
+rebuilds a list of the open intervals of v's color at every left, which the
+library's counting sweep must match witness for witness.
 """
 
 import random
@@ -432,3 +435,22 @@ def gen_random_interval_entries(
         else:
             rights.append(x)
     return IntervalRep(tuple((v, lefts[v], rights[v]) for v in range(n)))
+
+
+def first_monochromatic_triangle_edge_by_lists(
+    rep: IntervalRep, colors: Sequence[int]
+) -> tuple[int, int] | None:
+    """`first_monochromatic_triangle_edge` with a list of the open intervals
+    per color, filtered afresh at every left: the first triangle of one color
+    in interval order, as its two smallest ids, or None."""
+    lefts, rights = rep.lefts, rep.rights
+    open_by_color: dict[int, list[int]] = {}
+    for v in rep.order:
+        lo = lefts[v]
+        members = [u for u in open_by_color.get(colors[v], ()) if rights[u] >= lo]
+        if len(members) == 2:
+            a, b, _ = sorted((*members, v))
+            return (a, b)
+        members.append(v)
+        open_by_color[colors[v]] = members
+    return None

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from dataclasses import fields, replace
 from itertools import chain, combinations, combinations_with_replacement
@@ -31,7 +32,7 @@ from treecolor import (
     verify_equitable_tree_coloring,
     verify_maximal_clique_order,
 )
-from treecolor.gadgets import _is_maximal_clique
+from treecolor.gadgets import _is_maximal_clique, _sorted_sample
 
 from oracles import (
     chain_clique_sequence,
@@ -588,3 +589,23 @@ class TestRandomIntervalGenerator:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             gen_random_interval(-1, 10, seed=0)
+
+    # `random.sample` copies the range into a pool list when
+    # size <= 21 + 4**ceil(log(3k, 4)) (21 alone for k <= 5). Up to that size
+    # the draw must not call `sample`, and on both sides of it it must leave
+    # the same values and the generator in the same state.
+    @pytest.mark.parametrize(
+        "k,pool_size", [(0, 21), (1, 21), (5, 21), (6, 85), (21, 85), (22, 277), (300, 1045)]
+    )
+    def test_sorted_sample_equals_random_sample_by_its_pool_size(self, k, pool_size):
+        class NoSample(random.Random):
+            def sample(self, *args, **kwargs):
+                raise AssertionError("sample copies the range at this size")
+
+        for size in (max(k, pool_size - 1), pool_size, pool_size + 1):
+            for seed in range(20):
+                ours = (NoSample if size <= pool_size else random.Random)(seed)
+                theirs = random.Random(seed)
+                drawn = _sorted_sample(ours, size, k)
+                assert drawn == sorted(theirs.sample(range(size), k)), (size, seed)
+                assert ours.random() == theirs.random(), (size, seed)

@@ -12,12 +12,15 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treecolor.coloring
+import treecolor.graph
 from treecolor import (
     Coloring,
     IntervalRep,
     derive_graph,
     first_monochromatic_cycle_edge,
     first_monochromatic_triangle_edge,
+    greedy_color,
     interval_order,
     max_clique_sweep,
     verify_equitable_tree_coloring,
@@ -25,7 +28,12 @@ from treecolor import (
 )
 from treecolor.formats import parse_intervals, write_intervals
 
-from oracles import equal_intervals_rep, maximal_cliques_networkx, path_rep
+from oracles import (
+    equal_intervals_rep,
+    first_monochromatic_triangle_edge_by_lists,
+    maximal_cliques_networkx,
+    path_rep,
+)
 
 
 @st.composite
@@ -74,10 +82,28 @@ class TestIntervalOrder:
             sorted(range(rep.n), key=lambda v: (rep.lefts[v], rep.rights[v], v))
         )
         assert interval_order(rep) is order
-        lefts, rights = rep.ordered_lefts, rep.sorted_rights
+        by_right = rep.by_right
+        assert by_right == tuple(sorted(range(rep.n), key=lambda v: (rep.rights[v], v)))
+        lefts = rep.ordered_lefts
         assert list(lefts) == [rep.lefts[v] for v in order] == sorted(lefts)
-        assert list(rights) == sorted(rep.rights)
-        assert rep.ordered_lefts is lefts and rep.sorted_rights is rights
+        assert rep.ordered_lefts is lefts and rep.by_right is by_right
+
+    def test_greedy_and_a_clean_triangle_sweep_sort_nothing_once_cached(
+        self, monkeypatch
+    ):
+        # Only the rep sorts by an endpoint; its cached orders serve the walks.
+        # `order` is sorted from `by_right`, so caching it caches both.
+        rep = IntervalRep(tuple((v, v, v + 3) for v in range(12)))
+        rep.order
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted called past the rep's cached orders")
+
+        for module in (treecolor.coloring, treecolor.graph):
+            monkeypatch.setattr(module, "sorted", no_sort, raising=False)
+        coloring = greedy_color(rep, 3)
+        assert coloring is not None
+        assert first_monochromatic_triangle_edge(rep, coloring.colors) is None
 
 
 class TestColumns:
@@ -161,6 +187,28 @@ class TestTriangleSweep:
                 for w in range(g.n)
                 if w not in edge
             )
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(reps_with_colorings())
+    def test_witness_equals_the_list_per_color_sweep(self, case):
+        rep, coloring = case
+        assert first_monochromatic_triangle_edge(
+            rep, coloring.colors
+        ) == first_monochromatic_triangle_edge_by_lists(rep, coloring.colors)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_witness_equals_the_list_per_color_sweep_on_any_ints(self, data):
+        # Colors are dict keys, so negative ones and ones past any k count too.
+        rep = data.draw(touching_reps())
+        colors = data.draw(
+            st.lists(st.integers(-3, 2**70), min_size=rep.n, max_size=rep.n)
+            | st.lists(st.integers(-2, 2), min_size=rep.n, max_size=rep.n)
+        )
+        assert first_monochromatic_triangle_edge(
+            rep, colors
+        ) == first_monochromatic_triangle_edge_by_lists(rep, colors)
 
 
 class TestVerifyIntervalColoring:
