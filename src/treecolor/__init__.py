@@ -10,12 +10,14 @@ bin-packing reduction gadgets with witness mappings in both directions.
 from .coloring import (
     Coloring,
     ConsistencyError,
+    SearchStats,
     SolveTimeout,
     Verdict,
     decide_proper_interval,
     exact_solve,
     greedy_color,
     guaranteed_k,
+    interval_search,
     proper_min_k,
     round_robin_color,
     solve_intervals,
@@ -62,6 +64,7 @@ __all__ = [
     "IntervalRep",
     "ProperContainmentError",
     "RepresentationError",
+    "SearchStats",
     "SolveTimeout",
     "SplitPart",
     "Verdict",
@@ -78,6 +81,7 @@ __all__ = [
     "greedy_color",
     "guaranteed_k",
     "interval_order",
+    "interval_search",
     "is_proper_representation",
     "max_clique_sweep",
     "packing_from_coloring",

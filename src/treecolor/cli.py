@@ -318,16 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve a graph file by exhaustive search. An intervals file is "
         "answered NO when more than 2k intervals share a point, YES when the "
         "round-robin coloring verifies, YES when the greedy coloring verifies, "
-        "and only otherwise searched.",
+        "and only otherwise searched along the interval order.",
     )
     p.add_argument("graph", help="graph or intervals file")
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument(
         "--timeout", type=_timeout_seconds,
-        help="seconds from the start, the graph derivation included, after which "
-        "the exhaustive search gives up (exit 3); the bounds and the greedy run "
-        "whatever it says, a spent timeout answers before the derivation, and a "
-        "running derivation is not interrupted",
+        help="seconds from the start after which the search gives up (exit 3); "
+        "on an intervals file the bounds and the greedy run whatever it says, and "
+        "a timeout they have spent answers before the search's first node",
     )
     p.add_argument("--out", help="write the coloring on YES")
     add_common(p)

@@ -3,18 +3,22 @@
 A coloring with k classes is an equitable tree-coloring when every class
 induces a forest and any two class sizes differ by at most one. This module
 holds the verifier, the round-robin construction along the interval order,
-the decision procedure for proper representations, a polynomial greedy for
-interval representations, an exhaustive solver used as the ground-truth
-oracle, and the bound-first solver for interval representations that tries
-the greedy when both bounds leave the answer open and searches only when the
-greedy gives up.
+the decision procedure for proper representations, a polynomial greedy and
+a complete search along the interval order for interval representations,
+an exhaustive solver on graphs used as the ground-truth oracle, and the
+bound-first solver for interval representations that tries the greedy when
+both bounds leave the answer open and searches only when the greedy gives
+up. No route on an interval representation builds its graph.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+import random
 import time
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import cycle
@@ -23,7 +27,6 @@ from .graph import (
     Graph,
     IntervalRep,
     ProperContainmentError,
-    derive_graph,
     find_proper_containment,
     first_monochromatic_cycle_edge,
     first_monochromatic_triangle_edge,
@@ -36,7 +39,7 @@ class ConsistencyError(RuntimeError):
 
 
 class SolveTimeout(TimeoutError):
-    """The exhaustive solver exceeded its time limit."""
+    """A search exceeded its time limit."""
 
 
 class ColoringError(ValueError):
@@ -56,10 +59,17 @@ class Coloring:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(map(operator.index, self.colors)))
+        # tuple() of a sized sequence allocates the exact size once; map has
+        # no length hint, so only colors that are not all ints go through it.
+        colors = tuple(self.colors)
+        if not set(map(type, colors)) <= {int}:
+            colors = tuple(map(operator.index, colors))
+        object.__setattr__(self, "colors", colors)
         if self.k < 1:
             raise ColoringError(None, "k must be >= 1")
-        for v, c in enumerate(self.colors):
+        if colors and 0 <= min(colors) and max(colors) < self.k:
+            return
+        for v, c in enumerate(colors):
             if not 0 <= c < self.k:
                 raise ColoringError(v, f"vertex {v} has color {c} outside 0..{self.k - 1}")
 
@@ -370,21 +380,165 @@ def exact_solve(
         c = 0
 
 
+@dataclass
+class SearchStats:
+    """What `solve_intervals` did: the route that answered ("bound",
+    "round_robin", "greedy" or "search") and the counters of
+    `interval_search`, how far it got on a timeout. Callers pass one in."""
+
+    route: str = ""
+    nodes: int = 0
+    restarts: int = 0
+    memo_size: int = 0
+    memo_hits: int = 0
+    floor_prunes: int = 0
+
+
+def interval_search(
+    rep: IntervalRep,
+    k: int,
+    *,
+    time_limit: float | None = None,
+    stats: SearchStats | None = None,
+) -> Coloring | None:
+    """Complete search for an equitable tree-k-coloring along the interval
+    order, or None when there is none; it never builds the graph.
+
+    Position p of `rep.order` takes a color with fewer than two open
+    intervals at p, so no class closes a triangle, under `exact_solve`'s
+    class-size rule. An interval at position q is open at p iff p is below
+    its expiry, bisect_right(ordered_lefts, its right). The state at p is
+    then, per color, the count and the expiries of its open intervals, the
+    two largest it holds; nothing else of the prefix matters to the rest.
+    - Colors with equal (count, open expiries) are interchangeable, so one
+      color per distinct key is tried.
+    - Failed states are memoized as the sorted keys (their counts sum to p),
+      only for subtrees explored in full, so a memo hit is a sound NO.
+    - Floor prune: a color below f = n // k holding two open intervals
+      takes nothing before its earlier expiry e, so it needs
+      count + n - e >= f.
+    - Restarts: Luby node budgets of 64 nodes each, with the value order
+      shuffled by a fixed-seed `random.Random`. The memo survives restarts
+      and the budgets grow without bound, so the search stays complete, and
+      the same call gives the same coloring.
+
+    Raises SolveTimeout when time_limit (seconds from the call) elapses,
+    before the first node when it is already spent.
+    """
+    deadline = time.monotonic() + (math.inf if time_limit is None else time_limit)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = rep.n
+    order, lefts, rights = rep.order, rep.ordered_lefts, rep.rights
+    expiry = [bisect_right(lefts, rights[v]) for v in order]
+    floor_size, enlarged = divmod(n, k)
+    # Colors from n on are never needed: at most n classes are used, and
+    # unused ones are interchangeable.
+    used = min(k, n)
+    # A key packs (count, larger open expiry, smaller one) into one int; a
+    # closed expiry reads 0. A state is its sorted keys, as 8-byte words
+    # while a key fits in one.
+    base = n + 1
+    freeze = tuple if base**3 >= 2**63 else (lambda keys: array("q", keys).tobytes())
+    shuffle = random.Random(0).shuffle
+    memo: set = set()
+    # Per depth p: the state, the colors left to try, and the color taken
+    # with the two expiries it replaced.
+    states: list = [()] * n
+    tries: list[list[int]] = [[]] * n
+    taken = [(0, 0, 0)] * n
+    nodes = restarts = hits = prunes = 0
+    limit, luby_u, luby_v = 64, 1, 1
+    try:
+        while True:
+            counts, high, low = [0] * used, [0] * used, [0] * used
+            full = p = 0
+            entering = True
+            while True:
+                if entering:
+                    if p == n:
+                        colors = [0] * n
+                        for v, (c, _, _) in zip(order, taken):
+                            colors[v] = c
+                        return Coloring(colors, k)
+                    if nodes == limit:
+                        break
+                    if nodes & 255 == 0 and time.monotonic() >= deadline:
+                        raise SolveTimeout("no verdict within the time limit")
+                    nodes += 1
+                    keys = [(count * base + (h if h > p else 0)) * base + (lo if lo > p else 0)
+                            for count, h, lo in zip(counts, high, low)]
+                    states[p] = state = freeze(sorted(keys))
+                    options = []
+                    if state in memo:
+                        hits += 1
+                    else:
+                        x = expiry[p]
+                        # One color per distinct key: the last that has it.
+                        for c in dict(zip(keys, range(used))).values():
+                            count, h = counts[c], high[c]
+                            if low[c] > p or count > floor_size or (
+                                count == floor_size and full == enlarged
+                            ):
+                                continue
+                            if h > p and count + 1 + n - min(h, x) < floor_size:
+                                prunes += 1
+                                continue
+                            options.append(c)
+                        shuffle(options)
+                    tries[p] = options
+                else:
+                    # Undo the color taken at p before trying the next one.
+                    c, high[c], low[c] = taken[p]
+                    counts[c] -= 1
+                    full -= counts[c] == floor_size
+                    options = tries[p]
+                if options:
+                    c = options.pop()
+                    count, h, x = counts[c], high[c], expiry[p]
+                    taken[p] = (c, h, low[c])
+                    counts[c] = count + 1
+                    full += count == floor_size
+                    high[c], low[c] = (x, h) if x > h else (h, x)
+                    p += 1
+                    entering = True
+                    continue
+                memo.add(states[p])
+                if p == 0:
+                    return None
+                p -= 1
+                entering = False
+            # The budget is spent: restart with the next Luby budget.
+            restarts += 1
+            luby_u, luby_v = (luby_u + 1, 1) if luby_u & -luby_u == luby_v else (luby_u, 2 * luby_v)
+            limit = nodes + 64 * luby_v
+    finally:
+        if stats is not None:
+            stats.nodes += nodes
+            stats.restarts += restarts
+            stats.memo_size = len(memo)
+            stats.memo_hits += hits
+            stats.floor_prunes += prunes
+
+
 def solve_intervals(
-    rep: IntervalRep, k: int, *, time_limit: float | None = None
+    rep: IntervalRep,
+    k: int,
+    *,
+    time_limit: float | None = None,
+    stats: SearchStats | None = None,
 ) -> Coloring | None:
     """An equitable tree-k-coloring of the intervals' graph, or None, by the
-    paper's two bounds first, then the greedy, and the exhaustive search
-    only when all three leave the answer open.
+    paper's two bounds first, then the greedy, and `interval_search` only
+    when all three leave the answer open; no route builds the graph.
 
     A clique of more than 2k intervals puts three of them in one class, a
     triangle, so the answer is NO. Otherwise the round-robin coloring is
     returned when the sweep verifies it; from k >= guaranteed_k(max_degree)
     on it always does, and a failure there raises ConsistencyError. Below
-    that threshold `greedy_color` runs; its coloring is returned once the
-    sweep verifies it too, and a greedy coloring that fails the sweep raises
-    ConsistencyError. Only when the greedy gives up does `exact_solve` run
-    on the derived graph.
+    that threshold `greedy_color` runs, and when it gives up
+    `interval_search` does. A coloring from either is returned once the
+    sweep verifies it, and one that fails the sweep raises ConsistencyError.
 
     Round robin is a measured fast path, not a second answer: whenever it
     verifies, `greedy_color` returns the same coloring. At n = 100k proper,
@@ -393,16 +547,19 @@ def solve_intervals(
 
     time_limit counts from the call. The bounds and the greedy are
     polynomial and run whatever it says; a limit they have used up raises
-    SolveTimeout before the derivation starts. A running derivation is not
-    interrupted; the search then raises SolveTimeout at once if the time is
-    up.
+    SolveTimeout before the search expands a node. `stats`, when given,
+    gets the route that answered and the search's counters.
     """
     start = time.monotonic()
     if k < 1:
         raise ValueError("k must be >= 1")
+    if stats is None:
+        stats = SearchStats()
+    stats.route = "bound"
     omega, _, max_degree = rep.stats
     if k < proper_min_k(omega):
         return None
+    stats.route = "round_robin"
     coloring = round_robin_color(rep, k)
     if verify_interval_coloring(rep, coloring).ok:
         return coloring
@@ -410,14 +567,15 @@ def solve_intervals(
         raise ConsistencyError(
             f"round robin fails at k={k}, at or above the guaranteed threshold"
         )
+    stats.route = "greedy"
     coloring = greedy_color(rep, k)
-    if coloring is not None:
-        if not verify_interval_coloring(rep, coloring).ok:
-            raise ConsistencyError(f"the greedy coloring at k={k} fails the sweep verifier")
-        return coloring
-    if time_limit is not None and time.monotonic() - start >= time_limit:
-        raise SolveTimeout("no verdict within the time limit")
-    g = derive_graph(rep)
-    if time_limit is not None:
-        time_limit = max(0.0, time_limit - (time.monotonic() - start))
-    return exact_solve(g, k, time_limit=time_limit)
+    if coloring is None:
+        stats.route = "search"
+        if time_limit is not None:
+            time_limit = max(0.0, time_limit - (time.monotonic() - start))
+        coloring = interval_search(rep, k, time_limit=time_limit, stats=stats)
+        if coloring is None:
+            return None
+    if not verify_interval_coloring(rep, coloring).ok:
+        raise ConsistencyError(f"the {stats.route} coloring at k={k} fails the sweep verifier")
+    return coloring

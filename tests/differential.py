@@ -203,8 +203,8 @@ def _verify_intervals(rng, inputs):
 
 
 def _solve_intervals(rng, inputs):
-    # The exhaustive search is fast only on the small file; on the others a
-    # spent --timeout 0 answers TIMEOUT before the graph is derived.
+    # Only the small file is searched to its end; on the others a spent
+    # --timeout 0 answers TIMEOUT before the search's first node.
     name = rng.choice(sorted(inputs.intervals))
     argv = ["solve", name, "--k", str(_pick_k(rng, inputs.intervals[name]))]
     if name != "small.intervals":

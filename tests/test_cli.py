@@ -21,6 +21,7 @@ from treecolor import (
     gen_random_interval,
     greedy_color,
     guaranteed_k,
+    interval_search,
     max_clique_sweep,
     proper_min_k,
     round_robin_color,
@@ -327,23 +328,37 @@ class TestSolve:
 
     def test_intervals_between_the_bounds_still_search(self, capsys, monkeypatch, tmp_path):
         # omega = 8 <= 2k, k < guaranteed_k(15) = 8, and round robin and the
-        # greedy both fail: only the exhaustive search can answer, so
-        # --timeout 0 ends it, before the graph is derived.
+        # greedy both fail: only the interval search can answer, so
+        # --timeout 0 ends it before its first node. Neither run derives the
+        # graph.
         def refuse(rep):
-            raise AssertionError("derive_graph called after the time limit")
+            raise AssertionError("derive_graph called on an intervals solve")
 
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "treecolor" and module is not None:
+                if module.__dict__.get("derive_graph") is derive_graph:
+                    monkeypatch.setattr(module, "derive_graph", refuse)
+        searches = []
+
+        def recorded(rep, k, **kwargs):
+            searches.append(kwargs["stats"])
+            return interval_search(rep, k, **kwargs)
+
+        monkeypatch.setattr(treecolor.coloring, "interval_search", recorded)
         rep = gen_random_interval(16, 64, 11)
         assert rep.stats[0] <= 2 * 4 and 4 < guaranteed_k(rep.stats[2])
         assert not verify_interval_coloring(rep, round_robin_color(rep, 4)).ok
         assert greedy_color(rep, 4) is None
         path = tmp_path / "window.intervals"
         write_intervals(path, rep)
-        with monkeypatch.context() as patch:
-            patch.setattr(treecolor.coloring, "derive_graph", refuse)
-            code, out, _ = run(capsys, ["solve", str(path), "--k", "4", "--timeout", "0"])
+        code, out, _ = run(capsys, ["solve", str(path), "--k", "4", "--timeout", "0"])
         assert code == 3 and stats(out)["answer"] == "TIMEOUT"
-        code, out, _ = run(capsys, ["solve", str(path), "--k", "4"])
+        assert [s.nodes for s in searches] == [0]
+        out_path = tmp_path / "window.coloring"
+        code, out, _ = run(capsys, ["solve", str(path), "--k", "4", "--out", str(out_path)])
         assert code == 0 and stats(out)["answer"] == "YES"
+        assert len(searches) == 2 and searches[1].nodes > 0
+        assert verify_interval_coloring(rep, parse_coloring(out_path)).ok
 
     def test_round_robin_failing_above_its_threshold_exits_4(
         self, capsys, monkeypatch, k4_file
@@ -750,7 +765,7 @@ class TestSweepRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("solve searched although a bound or the greedy answers")
 
-        monkeypatch.setattr(treecolor.coloring, "derive_graph", refuse)
+        monkeypatch.setattr(treecolor.coloring, "interval_search", refuse)
         monkeypatch.setattr(treecolor.coloring, "exact_solve", refuse)
         monkeypatch.setattr(treecolor.cli, "exact_solve", refuse)
         out_path = tmp_path / "c.coloring"
@@ -804,8 +819,8 @@ class TestSweepRoute:
         # search.
         searched = []
         monkeypatch.setattr(
-            treecolor.coloring, "exact_solve",
-            lambda *a, **kw: searched.append(a) or exact_solve(*a, **kw),
+            treecolor.coloring, "interval_search",
+            lambda *a, **kw: searched.append(a) or interval_search(*a, **kw),
         )
         once += [["solve", k4_file, "--k", "1"], ["solve", k4_file, "--k", "2"],
                  ["solve", str(greedy), "--k", "4"], ["solve", str(window), "--k", "4"]]

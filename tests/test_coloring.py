@@ -1,3 +1,5 @@
+import operator
+import sys
 import time
 from itertools import combinations
 
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 import treecolor.coloring
 from treecolor import (
     Coloring,
+    ConsistencyError,
     Graph,
     IntervalRep,
     ProperContainmentError,
+    SearchStats,
     SolveTimeout,
     decide_proper_interval,
     derive_graph,
@@ -19,6 +23,7 @@ from treecolor import (
     gen_random_interval,
     greedy_color,
     guaranteed_k,
+    interval_search,
     max_clique_sweep,
     proper_min_k,
     round_robin_color,
@@ -39,6 +44,21 @@ from oracles import (
 from test_graph import graphs, interval_reps
 
 
+class IndexOnly:
+    """An int-like color that is no int: only operator.index reads it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# Four window pairs of gen_random_interval(n, 4n, seed) that the greedy
+# gives up on and that the graph search did not answer within 5 s; all YES.
+WINDOW_YESES = ((24, 0, 7), (32, 1, 11), (48, 0, 16), (48, 0, 17))
+
+
 class TestColoring:
     def test_rejects_out_of_range_color(self):
         with pytest.raises(ValueError, match="vertex 1"):
@@ -51,6 +71,44 @@ class TestColoring:
     def test_rejects_non_integer_colors(self):
         with pytest.raises(TypeError):
             Coloring((0, 1.0), 2)
+
+    def test_a_tuple_of_ints_is_kept_without_a_copy(self):
+        colors = (0, 1, 0, 2)
+        assert Coloring(colors, 3).colors is colors
+
+    @pytest.mark.parametrize("colors, k", [
+        ([0, 1, 1], 2), ((), 1), ((), 0), ([0, 2], 2), ([-1, 0], 2),
+        ([True, False], 2), ([0, 1.0], 2), ("01", 2), (5, 2), (None, 2),
+        (iter([1, 0, 1]), 2), ([0, 2**70], 2), ([IndexOnly(1), 0], 2),
+        ([0, IndexOnly(3)], 2),
+    ])
+    def test_same_colors_and_errors_as_mapping_index(self, colors, k):
+        # The reference is the former body: operator.index over every color,
+        # then k, then the first vertex whose color is out of range.
+        def reference():
+            kept = tuple(map(operator.index, colors))
+            if k < 1:
+                raise ValueError("k must be >= 1")
+            for v, c in enumerate(kept):
+                if not 0 <= c < k:
+                    raise ValueError(f"vertex {v} has color {c} outside 0..{k - 1}")
+            return kept
+
+        if hasattr(colors, "__next__"):
+            colors = list(colors)
+            made = lambda: Coloring(iter(colors), k).colors  # noqa: E731
+        else:
+            made = lambda: Coloring(colors, k).colors  # noqa: E731
+        try:
+            expected = reference()
+        except (TypeError, ValueError) as error:
+            with pytest.raises(type(error)) as raised:
+                made()
+            assert str(raised.value) == str(error)
+        else:
+            got = made()
+            assert got == expected
+            assert list(map(type, got)) == list(map(type, expected))
 
     def test_class_bookkeeping(self):
         c = Coloring((0, 1, 0, 2), 3)
@@ -269,24 +327,120 @@ class TestSolveIntervals:
         with pytest.raises(ValueError):
             solve_intervals(path_rep(3), 0)
 
-    def test_time_limit_counts_the_graph_derivation(self, monkeypatch):
+    def test_time_limit_counts_from_the_call(self, monkeypatch):
         # Between the two bounds (omega = 8 <= 2k, round robin and the
-        # greedy fail), so the graph is derived and searched; the search
-        # alone takes well under the limit, but the derivation has spent
-        # all of it.
+        # greedy fail), so only the search can answer; it alone takes well
+        # under the limit, but a slow greedy has spent all of it, so the
+        # search expands no node.
         rep = gen_random_interval(16, 64, 11)
         assert rep.stats[0] <= 2 * 4 and 4 < guaranteed_k(rep.stats[2])
         assert not verify_interval_coloring(rep, round_robin_color(rep, 4)).ok
         assert greedy_color(rep, 4) is None
-        derive = treecolor.coloring.derive_graph
+        assert interval_search(rep, 4, time_limit=0.05) is not None
 
-        def slow_derive(rep):
+        def slow_greedy(rep, k):
             time.sleep(0.2)
-            return derive(rep)
+            return greedy_color(rep, k)
 
-        monkeypatch.setattr(treecolor.coloring, "derive_graph", slow_derive)
+        monkeypatch.setattr(treecolor.coloring, "greedy_color", slow_greedy)
+        stats = SearchStats()
         with pytest.raises(SolveTimeout):
-            solve_intervals(rep, 4, time_limit=0.05)
+            solve_intervals(rep, 4, time_limit=0.05, stats=stats)
+        assert (stats.route, stats.nodes) == ("search", 0)
+
+    @pytest.mark.parametrize("n, seed, k", [(16, 11, 4), *WINDOW_YESES])
+    def test_a_spent_limit_in_the_window_times_out_before_the_first_node(self, n, seed, k):
+        stats = SearchStats()
+        with pytest.raises(SolveTimeout):
+            solve_intervals(gen_random_interval(n, 4 * n, seed), k, time_limit=0, stats=stats)
+        assert (stats.route, stats.nodes) == ("search", 0)
+
+    def test_never_derives_the_graph(self, monkeypatch):
+        def refuse(rep):
+            raise AssertionError("derive_graph called by solve_intervals")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "treecolor" and module is not None:
+                if module.__dict__.get("derive_graph") is derive_graph:
+                    monkeypatch.setattr(module, "derive_graph", refuse)
+        cases = [(gen_random_interval(16, 64, 11), 4, True), *((rep, k, False) for rep, k in WINDOW_NOS)]
+        for rep, k, yes in cases:
+            stats = SearchStats()
+            assert (solve_intervals(rep, k, stats=stats) is not None) == yes
+            assert stats.route == "search" and stats.nodes > 0
+
+    def test_stats_name_the_route_that_answered(self):
+        k6 = equal_intervals_rep(6)
+        cases = [
+            (k6, 2, "bound", False),
+            (k6, 3, "round_robin", True),
+            (gen_random_interval(16, 64, 0), 4, "greedy", True),
+            (gen_random_interval(16, 64, 11), 4, "search", True),
+            (*WINDOW_NOS[0], "search", False),
+        ]
+        for rep, k, route, yes in cases:
+            stats = SearchStats()
+            assert (solve_intervals(rep, k, stats=stats) is not None) == yes
+            assert stats.route == route, (route, stats)
+            assert (stats.nodes > 0) == (route == "search")
+
+    def test_a_search_coloring_that_fails_the_verifier_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            treecolor.coloring, "interval_search",
+            lambda rep, k, **kw: Coloring((0,) * rep.n, k),
+        )
+        with pytest.raises(ConsistencyError, match="search coloring"):
+            solve_intervals(gen_random_interval(16, 64, 11), 4)
+
+
+class TestIntervalSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(interval_reps(max_n=14))
+    def test_same_answer_as_exhaustive_solver(self, rep):
+        g = derive_graph(rep)
+        for k in range(1, rep.n + 2):
+            c = interval_search(rep, k)
+            assert (c is None) == (exact_solve(g, k) is None), k
+            if c is not None:
+                assert verify_interval_coloring(rep, c).ok
+                assert verify_equitable_tree_coloring(g, c).ok
+
+    @pytest.mark.parametrize("rep, k", WINDOW_NOS)
+    def test_window_no_instances_answer_no(self, rep, k):
+        stats = SearchStats()
+        assert interval_search(rep, k, stats=stats) is None
+        assert stats.memo_size > 0
+
+    @pytest.mark.parametrize("n, seed, k", WINDOW_YESES)
+    def test_window_cases_answer_yes(self, n, seed, k):
+        # Not a timing gate: the limit only keeps a broken search finite.
+        rep = gen_random_interval(n, 4 * n, seed)
+        assert greedy_color(rep, k) is None
+        assert proper_min_k(rep.stats[0]) <= k < guaranteed_k(rep.stats[2])
+        c = interval_search(rep, k, time_limit=120)
+        assert c is not None and verify_interval_coloring(rep, c).ok
+
+    def test_restarts_keep_the_memo_and_count_their_work(self):
+        stats = SearchStats()
+        assert interval_search(gen_random_interval(48, 192, 0), 16, stats=stats) is not None
+        assert stats.restarts > 0 and stats.memo_size > 0
+        assert stats.nodes > 64 * stats.restarts
+        assert stats.memo_hits > 0 and stats.floor_prunes > 0
+
+    def test_deterministic(self):
+        rep = gen_random_interval(48, 192, 0)
+        assert interval_search(rep, 17) == interval_search(rep, 17)
+
+    def test_time_limit_zero_raises(self):
+        stats = SearchStats()
+        with pytest.raises(SolveTimeout):
+            interval_search(gen_random_interval(16, 64, 11), 4, time_limit=0, stats=stats)
+        assert stats.nodes == 0
+
+    def test_empty_rep_and_bad_k(self):
+        assert interval_search(IntervalRep(()), 3) == Coloring((), 3)
+        with pytest.raises(ValueError):
+            interval_search(path_rep(3), 0)
 
 
 class TestGreedyColor:
@@ -317,6 +471,7 @@ class TestGreedyColor:
     @pytest.mark.parametrize("rep, k", WINDOW_NOS)
     def test_gives_up_on_the_window_no_instances(self, rep, k):
         assert greedy_color(rep, k) is None
+        assert interval_search(rep, k) is None
         assert exact_solve(derive_graph(rep), k) is None
         assert exact_solve_recursive(derive_graph(rep), k) is None
 
@@ -330,10 +485,16 @@ class TestCensus:
         rows = census(range(40), 4, 10, time_limit=10.0)
         assert rows and all(gap <= 0 for gap in rows)
         for row in rows.values():
-            assert row["timeouts"] == 0
+            assert row["solve_timeouts"] == row["search_timeouts"] == row["exact_timeouts"] == 0
+            assert row["round_robin"] + row["greedy"] + row["search"] == row["pairs"]
             assert row["search_yes"] + row["search_no"] == row["pairs"]
+            assert row["exact_yes"] + row["exact_no"] == row["pairs"]
+            assert row["search_disagrees"] == 0
             assert row["false_yes"] == 0
             assert row["round_robin_not_greedy"] == 0
+        # The 40 seeds reach every route.
+        assert all(sum(row[c] for row in rows.values()) > 0
+                   for c in ("round_robin", "greedy", "search"))
 
 
 class TestAlgorithmInternalConsistency:
