@@ -278,8 +278,49 @@ class _RollbackUnionFind:
             self.parent[rb] = rb
 
 
+def _profile_points(g: Graph) -> bytearray:
+    """Flag each position v where the earlier vertices with a neighbour at
+    or after v are exactly v's earlier neighbours, and all of them have the
+    same neighbours at or after v; see `exact_solve`.
+
+    One sweep in O(n + m). At position v, hits[w] for w >= v counts w's
+    neighbours below v; all of them are on the frontier, so w sees the
+    whole frontier iff hits[w] == frontier. `spread[h]` counts the w >= v
+    with hits[w] == h > 0, and `touched` all w >= v with hits[w] > 0. All
+    three are read before v leaves the range: the earlier vertices whose
+    last neighbour is v are still on the frontier at v.
+    """
+    n = g.n
+    hits = [0] * n
+    spread = [0] * n
+    point = bytearray(n)
+    frontier = touched = 0
+    for v, a in enumerate(g.adj):
+        prior = bisect_left(a, v)
+        point[v] = frontier == prior and spread[frontier] == touched
+        if prior:
+            spread[prior] -= 1
+            touched -= 1
+            frontier -= sum(g.adj[u][-1] == v for u in a[:prior])
+        if prior < len(a):
+            frontier += 1
+            for w in a[prior:]:
+                h = hits[w]
+                if h:
+                    spread[h] -= 1
+                else:
+                    touched += 1
+                hits[w] = h + 1
+                spread[h + 1] += 1
+    return point
+
+
 def exact_solve(
-    g: Graph, k: int, *, time_limit: float | None = None
+    g: Graph,
+    k: int,
+    *,
+    time_limit: float | None = None,
+    stats: SearchStats | None = None,
 ) -> Coloring | None:
     """Exhaustive search for an equitable tree-k-coloring, or None.
 
@@ -288,10 +329,9 @@ def exact_solve(
     color symmetry canonically (vertex 0 in class 0, every further class
     first used in vertex order), and abandons a branch the moment a class
     closes a cycle. The first solution in this canonical order is returned,
-    which makes the oracle deterministic. Failed size profiles are cached at
-    positions where no edge crosses, which speeds up disconnected inputs
-    without changing the result. Intended for small graphs (n up to ~14 in
-    general; structured instances reach further).
+    which makes the oracle deterministic. Intended for small graphs (n up to
+    ~14 in general; structured instances such as the gadgets reach
+    further).
 
     One rule fixes the sizes. With f = n // k and e = n % k, a class of
     `count` vertices takes one more iff count < f, or count == f while fewer
@@ -300,7 +340,32 @@ def exact_solve(
     k*f - j + #(classes at f + 1) <= n - j vertices in all: the vertices
     left can always fill them, and at j = n every class holds f or f + 1.
 
-    Raises SolveTimeout when time_limit (seconds) elapses first.
+    Failed states are cached at profile points: positions v where the
+    earlier vertices with a neighbour at or after v are exactly v's earlier
+    neighbours P, and every vertex of P has the same neighbours S at or
+    after v (`_profile_points` finds them in O(n + m)). A cut point, where
+    no edge crosses, is the case P = {}. The rest of the search meets the
+    prefix only through P, and every vertex of S meets all of P. A vertex
+    of S therefore fits class c iff no two vertices of P in c share a tree,
+    and then it joins them all into one tree, whichever they are. A class
+    where two already share a tree takes no vertex of S, so its trees on P
+    matter no more. So each class counts only through its size and how
+    many vertices of P it holds, or -1 once two of them share a tree; the
+    sorted (size, held) pairs, or just the sorted sizes where P is empty,
+    are the key. The classes' labels do not count either: each later vertex
+    tries every used class, and the unused ones are interchangeable. The
+    sizes sum to v, so one set of keys serves every position. A key is
+    cached only when its subtree failed in full, so the first solution is
+    the one found without the cache.
+
+    The key sorts the k classes and reads P, which the union scan at v
+    reads anyway, and nothing is stored per position but the flag. A node
+    that fails is back in the state of its first visit, so its key is read
+    again there rather than kept.
+
+    `stats`, when given, gets the nodes (first visits), the cached keys and
+    the cache hits, also when the search times out. Raises SolveTimeout
+    when time_limit (seconds) elapses first.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -312,79 +377,94 @@ def exact_solve(
     floor_size, enlarged = divmod(n, k)
 
     prior_neighbors = [a[: bisect_left(a, v)] for v, a in enumerate(g.adj)]
-    # Positions p where no edge joins {0..p-1} to {p..n-1}: the union-find
-    # state cannot influence the remainder, so failures there depend only on
-    # the multiset of class sizes. That multiset sums to p, so one set of
-    # profiles serves every cut point.
-    cut_point = bytearray(n)
-    reach = 0
-    for v, a in enumerate(g.adj):
-        cut_point[v] = reach < v
-        if a and a[-1] > reach:
-            reach = a[-1]
-    failed_profiles: set[tuple[int, ...]] = set()
+    profile_point = _profile_points(g)
+    failed_profiles: set[tuple] = set()
 
     colors = [0] * n
     counts = [0] * k
     marks = [0] * n
-    full = opened = ticks = 0
+    full = opened = ticks = hits = 0
     dsu = _RollbackUnionFind(n)
-    union, rewind, trail = dsu.union, dsu.rewind, dsu.trail
+    union, rewind, trail, find = dsu.union, dsu.rewind, dsu.trail, dsu.find
+
+    def profile(v: int) -> tuple:
+        if not prior_neighbors[v]:
+            return tuple(sorted(counts))
+        held = [0] * k
+        roots = set()
+        for u in prior_neighbors[v]:
+            root, c = find(u), colors[u]
+            if root in roots:
+                held[c] = -1
+            elif held[c] >= 0:
+                held[c] += 1
+            roots.add(root)
+        return tuple(sorted(zip(counts, held)))
 
     # One loop, no recursion: the arrays hold the whole search state. Below
     # the position v, colors[v] is the class of v; the search resumes at v
     # with the first class c not yet tried, and c == 0 marks a first visit.
     v = c = 0
-    while True:
-        if c == 0:
-            ticks += 1
-            if deadline is not None and ticks & 255 == 1 and time.monotonic() > deadline:
-                raise SolveTimeout("no verdict within the time limit")
-            if cut_point[v] and tuple(sorted(counts)) in failed_profiles:
-                c = k
-        top = opened + 1 if opened < k else k
-        for c in range(c, top):
-            count = counts[c]
-            if count > floor_size or (count == floor_size and full == enlarged):
-                continue
-            mark = len(trail)
-            for u in prior_neighbors[v]:
-                if colors[u] == c and not union(u, v):
-                    rewind(mark)
+    try:
+        while True:
+            if c == 0:
+                ticks += 1
+                if deadline is not None and ticks & 255 == 1 and time.monotonic() > deadline:
+                    raise SolveTimeout("no verdict within the time limit")
+                if profile_point[v] and profile(v) in failed_profiles:
+                    # Past every class, and past k, which no resumed class
+                    # reaches: the failure below then knows the key is in.
+                    hits += 1
+                    c = k + 1
+            top = opened + 1 if opened < k else k
+            for c in range(c, top):
+                count = counts[c]
+                if count > floor_size or (count == floor_size and full == enlarged):
+                    continue
+                mark = len(trail)
+                for u in prior_neighbors[v]:
+                    if colors[u] == c and not union(u, v):
+                        rewind(mark)
+                        break
+                else:
                     break
             else:
-                break
-        else:
-            # No class fits v: undo v - 1 and resume it at its next class.
-            if cut_point[v]:
-                failed_profiles.add(tuple(sorted(counts)))
-            if v == 0:
-                return None
-            v -= 1
-            c = colors[v]
-            count = counts[c] - 1
-            counts[c] = count
-            full -= count == floor_size
-            opened -= count == 0
-            rewind(marks[v])
-            c += 1
-            continue
-        colors[v] = c
-        counts[c] = count + 1
-        marks[v] = mark
-        full += count == floor_size
-        opened += count == 0
-        v += 1
-        if v == n:
-            return Coloring(colors, k)
-        c = 0
+                # No class fits v: undo v - 1 and resume it at its next class.
+                if profile_point[v] and c <= k:
+                    failed_profiles.add(profile(v))
+                if v == 0:
+                    return None
+                v -= 1
+                c = colors[v]
+                count = counts[c] - 1
+                counts[c] = count
+                full -= count == floor_size
+                opened -= count == 0
+                rewind(marks[v])
+                c += 1
+                continue
+            colors[v] = c
+            counts[c] = count + 1
+            marks[v] = mark
+            full += count == floor_size
+            opened += count == 0
+            v += 1
+            if v == n:
+                return Coloring(colors, k)
+            c = 0
+    finally:
+        if stats is not None:
+            stats.nodes += ticks
+            stats.memo_size = len(failed_profiles)
+            stats.memo_hits += hits
 
 
 @dataclass
 class SearchStats:
-    """What `solve_intervals` did: the route that answered ("bound",
+    """What a solve did: the route that answered `solve_intervals` ("bound",
     "round_robin", "greedy" or "search") and the counters of
-    `interval_search`, how far it got on a timeout. Callers pass one in."""
+    `interval_search`, or `exact_solve`'s nodes, memo size and memo hits,
+    how far it got on a timeout. Callers pass one in."""
 
     route: str = ""
     nodes: int = 0

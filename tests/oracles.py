@@ -12,7 +12,10 @@ checks with superlinear cost that the tests hold the library to
 `first_broken_neighbours` is the plain loop that `find_proper_containment`
 must match pair for pair. The recursive forms of the two exhaustive solvers
 (`exact_solve_recursive`, `solve_bin_packing_recursive`) are the references
-that the library's loops must match solution for solution.
+that the library's loops must match solution for solution;
+`exact_solve_recursive` caches failed profiles only at cut points, so it
+also checks `exact_solve`'s cache at every profile point, which
+`profile_points_bruteforce` finds by the definition.
 `greedy_color_scan` is the greedy's definition run literally, scanning every
 earlier interval and every color for each interval, which `greedy_color`'s
 heap must match color for color. `gen_random_interval_entries` builds the
@@ -347,6 +350,19 @@ def exact_solve_recursive(g: Graph, k: int) -> Coloring | None:
     if search(0):
         return Coloring(tuple(colors), k)
     return None
+
+
+def profile_points_bruteforce(g: Graph) -> list[bool]:
+    """`exact_solve`'s profile points by their definition: position v is one
+    iff the earlier vertices with a neighbour at or after v are exactly v's
+    earlier neighbours, and all of them have the same neighbours at or after
+    v. Builds both sets at every position, O(n * m)."""
+    points = []
+    for v in range(g.n):
+        frontier = {u for u in range(v) if any(w >= v for w in g.adj[u])}
+        later = {frozenset(w for w in g.adj[u] if w >= v) for u in frontier}
+        points.append(frontier == {u for u in g.adj[v] if u < v} and len(later) <= 1)
+    return points
 
 
 def greedy_color_scan(rep: IntervalRep, k: int) -> Coloring | None:

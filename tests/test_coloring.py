@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import treecolor.coloring
 from treecolor import (
+    BinPackingInstance,
     Coloring,
     ConsistencyError,
     Graph,
@@ -16,6 +17,8 @@ from treecolor import (
     ProperContainmentError,
     SearchStats,
     SolveTimeout,
+    build_interval_gadget,
+    build_split_gadget,
     decide_proper_interval,
     derive_graph,
     exact_solve,
@@ -31,7 +34,7 @@ from treecolor import (
     verify_equitable_tree_coloring,
     verify_interval_coloring,
 )
-from treecolor.coloring import _RollbackUnionFind
+from treecolor.coloring import _profile_points, _RollbackUnionFind
 
 from census import census
 from oracles import (
@@ -40,6 +43,7 @@ from oracles import (
     exact_solve_recursive,
     greedy_color_scan,
     path_rep,
+    profile_points_bruteforce,
 )
 from test_graph import graphs, interval_reps
 
@@ -57,6 +61,62 @@ class IndexOnly:
 # Four window pairs of gen_random_interval(n, 4n, seed) that the greedy
 # gives up on and that the graph search did not answer within 5 s; all YES.
 WINDOW_YESES = ((24, 0, 7), (32, 1, 11), (48, 0, 16), (48, 0, 17))
+
+# The gadget graphs that the benchmark's solve-grid solves, at k = bins, with
+# the nodes `exact_solve` expanded when it cached failed profiles only at
+# cut points: (build, items, bins, capacity, nodes).
+SOLVE_GRID_GADGETS = (
+    (build_split_gadget, (1, 2, 3, 1, 2, 3, 1, 2, 3), 3, 6, 7965),
+    (build_interval_gadget, (2, 2, 3, 3), 2, 5, 17428),
+    (build_interval_gadget, (2, 2, 2, 2, 2), 2, 5, 7012),
+)
+
+
+def _relabel(draw, n: int, edges) -> Graph:
+    """The graph as built, or with its vertices drawn into another order."""
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        edges = [(perm[u], perm[v]) for u, v in edges]
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def split_unions(draw, max_n=12):
+    """Disjoint unions of complete split graphs, a clique fully joined to an
+    independent set: the twin-rich shape of the paper's first hardness
+    class."""
+    edges, n = [], 0
+    while n < max_n:
+        clique = draw(st.integers(1, min(4, max_n - n)))
+        loose = draw(st.integers(0, min(4, max_n - n - clique)))
+        members = range(n, n + clique)
+        edges += combinations(members, 2)
+        edges += [(u, w) for u in members for w in range(n + clique, n + clique + loose)]
+        n += clique + loose
+        if draw(st.booleans()):
+            break
+    return _relabel(draw, n, edges)
+
+
+@st.composite
+def twin_substitutions(draw, max_n=12):
+    """A small graph with each vertex replaced by a class of twins, a clique
+    or an independent set, joined wholly to the classes of its neighbours."""
+    base = draw(graphs(max_n=5))
+    classes, n = [], 0
+    for x in range(base.n):
+        # Room for one vertex in each class still to come.
+        size = draw(st.integers(1, min(4, max_n - n - (base.n - 1 - x))))
+        classes.append(range(n, n + size))
+        n += size
+    edges = []
+    for x, members in enumerate(classes):
+        if draw(st.booleans()):
+            edges += combinations(members, 2)
+        for y in base.adj[x]:
+            if y > x:
+                edges += [(u, w) for u in members for w in classes[y]]
+    return _relabel(draw, n, edges)
 
 
 class TestColoring:
@@ -266,14 +326,17 @@ class TestExactSolve:
 
     def test_time_limit_zero_raises(self):
         g = derive_graph(equal_intervals_rep(6))
+        stats = SearchStats()
         with pytest.raises(SolveTimeout):
-            exact_solve(g, 3, time_limit=0.0)
+            exact_solve(g, 3, time_limit=0.0, stats=stats)
+        assert (stats.nodes, stats.memo_size, stats.memo_hits) == (1, 0, 0)
 
     def test_failed_profiles_are_not_searched_again(self, monkeypatch):
         # Disjoint cliques of sizes 3, 3, 3, 3 and 5 at k = 2: the 5-clique
         # makes the answer NO, and every clique ends at a cut point, where a
         # class-size profile that failed once is skipped. With the skip the
-        # search makes 150 unions; without it, 25,190.
+        # search makes 72 unions (150 when only cut points were cached);
+        # without it, 25,190.
         edges, start = [], 0
         for size in (3, 3, 3, 3, 5):
             edges += combinations(range(start, start + size), 2)
@@ -288,8 +351,24 @@ class TestExactSolve:
             return union(self, a, b)
 
         monkeypatch.setattr(_RollbackUnionFind, "union", counted)
-        assert exact_solve(g, 2) is None
+        stats = SearchStats()
+        assert exact_solve(g, 2, stats=stats) is None
         assert calls <= 1000
+        assert stats.memo_hits > 0
+
+    @pytest.mark.parametrize("build, items, bins, capacity, cut_point_nodes", SOLVE_GRID_GADGETS)
+    def test_gadgets_reuse_failed_profiles_inside_components(
+        self, build, items, bins, capacity, cut_point_nodes
+    ):
+        # A gadget has few cut points but many profile points, so the cache
+        # must save most of the nodes that a cut-point cache expands; these
+        # read 1,345, 822 and 1,003.
+        g = build(BinPackingInstance(items, bins, capacity)).graph
+        stats = SearchStats()
+        coloring = exact_solve(g, bins, stats=stats)
+        assert coloring == exact_solve_recursive(g, bins)
+        assert stats.nodes <= 2000 < cut_point_nodes
+        assert stats.memo_hits > 0 and stats.memo_size > 0
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_n=7), st.integers(1, 3))
@@ -309,6 +388,17 @@ class TestExactSolve:
     def test_same_first_solution_as_recursive_search(self, g):
         for k in range(1, g.n + 2):
             assert exact_solve(g, k) == exact_solve_recursive(g, k), k
+
+    @settings(max_examples=160, deadline=None)
+    @given(st.one_of(split_unions(), twin_substitutions()))
+    def test_same_first_solution_on_twin_rich_graphs(self, g):
+        for k in range(1, g.n + 2):
+            assert exact_solve(g, k) == exact_solve_recursive(g, k), k
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(graphs(max_n=9), split_unions(), twin_substitutions()))
+    def test_profile_points_match_their_definition(self, g):
+        assert list(_profile_points(g)) == profile_points_bruteforce(g)
 
 
 class TestSolveIntervals:
