@@ -20,6 +20,7 @@ from .coloring import (
     interval_search,
     proper_min_k,
     round_robin_color,
+    solve_graph,
     solve_intervals,
     verify_equitable_tree_coloring,
     verify_interval_coloring,
@@ -47,6 +48,7 @@ from .graph import (
     find_proper_containment,
     first_monochromatic_cycle_edge,
     first_monochromatic_triangle_edge,
+    interval_model,
     interval_order,
     is_proper_representation,
     max_clique_sweep,
@@ -80,6 +82,7 @@ __all__ = [
     "gen_random_interval",
     "greedy_color",
     "guaranteed_k",
+    "interval_model",
     "interval_order",
     "interval_search",
     "is_proper_representation",
@@ -88,6 +91,7 @@ __all__ = [
     "proper_min_k",
     "round_robin_color",
     "solve_bin_packing",
+    "solve_graph",
     "solve_intervals",
     "validate_layout",
     "verify_equitable_tree_coloring",

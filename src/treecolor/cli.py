@@ -26,10 +26,10 @@ from .coloring import (
     SolveTimeout,
     Verdict,
     decide_proper_interval,
-    exact_solve,
     guaranteed_k,
     proper_min_k,
     round_robin_color,
+    solve_graph,
     solve_intervals,
     verify_equitable_tree_coloring,
     verify_interval_coloring,
@@ -158,7 +158,7 @@ def cmd_solve(args) -> tuple[int, RunReport, list]:
     if isinstance(source, IntervalRep):
         m, solve = source.stats[1], solve_intervals
     else:
-        m, solve = source.m, exact_solve
+        m, solve = source.m, solve_graph
     report = RunReport("solve", statistics={"n": source.n, "m": m, "k": args.k})
     try:
         coloring = solve(source, args.k, time_limit=args.timeout)
@@ -315,18 +315,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "solve",
         help="YES/NO for any graph or intervals file",
-        description="Solve a graph file by exhaustive search. An intervals file is "
-        "answered NO when more than 2k intervals share a point, YES when the "
-        "round-robin coloring verifies, YES when the greedy coloring verifies, "
-        "and only otherwise searched along the interval order.",
+        description="An intervals file is answered NO when more than 2k intervals "
+        "share a point, YES when the round-robin coloring verifies, YES when the "
+        "greedy coloring verifies, and only otherwise searched along the interval "
+        "order. A graph file with an interval model, found by LexBFS sweeps and "
+        "checked on the graph, is solved as those intervals, and a YES is checked "
+        "on the graph too; any other graph file is searched exhaustively.",
     )
     p.add_argument("graph", help="graph or intervals file")
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument(
         "--timeout", type=_timeout_seconds,
         help="seconds from the start after which the search gives up (exit 3); "
-        "on an intervals file the bounds and the greedy run whatever it says, and "
-        "a timeout they have spent answers before the search's first node",
+        "the sweeps and check of a graph file's interval model, the bounds and the "
+        "greedy run whatever it says, and a timeout they have spent answers before "
+        "the search's first node",
     )
     p.add_argument("--out", help="write the coloring on YES")
     add_common(p)

@@ -8,7 +8,9 @@ a complete search along the interval order for interval representations,
 an exhaustive solver on graphs used as the ground-truth oracle, and the
 bound-first solver for interval representations that tries the greedy when
 both bounds leave the answer open and searches only when the greedy gives
-up. No route on an interval representation builds its graph.
+up. No route on an interval representation builds its graph. A graph with
+a checked interval model is solved as its intervals, and any other graph
+by the exhaustive solver.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .graph import (
     find_proper_containment,
     first_monochromatic_cycle_edge,
     first_monochromatic_triangle_edge,
+    interval_model,
     interval_order,
 )
 
@@ -658,4 +661,39 @@ def solve_intervals(
             return None
     if not verify_interval_coloring(rep, coloring).ok:
         raise ConsistencyError(f"the {stats.route} coloring at k={k} fails the sweep verifier")
+    return coloring
+
+
+def solve_graph(
+    g: Graph,
+    k: int,
+    *,
+    time_limit: float | None = None,
+    stats: SearchStats | None = None,
+) -> Coloring | None:
+    """An equitable tree-k-coloring of g, or None: by `solve_intervals` on
+    `interval_model(g)` when g has one, else by `exact_solve`.
+
+    The model's rep has exactly g's edges, and `solve_intervals` answers
+    NO only from the clique bound or its complete search, so a NO stands;
+    a YES must pass `verify_equitable_tree_coloring` on g, or
+    ConsistencyError is raised. The sweeps and their check run whatever
+    time_limit says, as the bounds do; the time left goes to the solver.
+    `stats.route` is the interval route's name, or "exact".
+    """
+    start = time.monotonic()
+    stats = SearchStats() if stats is None else stats
+    model = interval_model(g)
+    if time_limit is not None:
+        time_limit = max(0.0, time_limit - (time.monotonic() - start))
+    if model is None:
+        stats.route = "exact"
+        return exact_solve(g, k, time_limit=time_limit, stats=stats)
+    coloring = solve_intervals(model[1], k, time_limit=time_limit, stats=stats)
+    # The rep and its cached sorts go before the verifier's own arrays.
+    del model
+    if coloring is not None and not verify_equitable_tree_coloring(g, coloring).ok:
+        raise ConsistencyError(
+            f"the {stats.route} coloring of the interval model fails on the graph at k={k}"
+        )
     return coloring

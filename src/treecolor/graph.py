@@ -168,6 +168,109 @@ def derive_graph(rep: IntervalRep) -> Graph:
     return Graph.from_edges(rep.n, pairs)
 
 
+def _lbfs(adj: Sequence[Sequence[int]], prev: Sequence[int]) -> list[int]:
+    """A LexBFS order of the graph whose ties go to the vertex latest in
+    `prev`, an order of all vertices: the LBFS+ sweep of prev.
+
+    Partition refinement in O(n + m), on flat int lists only. The unvisited
+    vertices form one circular list through `nxt`/`prv` (n is its head),
+    cut into runs of equal label, largest first; `cls` names each vertex's
+    run (-1 once visited) and `first` each run's first vertex. Runs are in decreasing rank in
+    prev, so the head of the list is the next pivot. A pivot's unvisited
+    neighbours, read in decreasing rank too, move to the end of a run split
+    off just before their own, which keeps both runs in rank order.
+    """
+    n = len(adj)
+    ranked = [[] if a else () for a in adj]
+    for u in reversed(prev):
+        for w in adj[u]:
+            ranked[w].append(u)
+    nxt, prv = [n] * (n + 1), [n] * (n + 1)
+    last = n
+    for v in reversed(prev):
+        nxt[last], prv[v], last = v, last, v
+    nxt[last], prv[n] = n, last
+    cls = [0] * n
+    first, pivot, split = [nxt[n]], [-1], [0]
+    order = []
+    while (v := nxt[n]) != n:
+        nxt[n] = first[cls[v]] = after = nxt[v]
+        prv[after] = n
+        cls[v] = -1
+        order.append(v)
+        for w in ranked[v]:
+            run = cls[w]
+            if run < 0:
+                continue
+            if pivot[run] != v:
+                pivot[run], split[run] = v, len(first)
+                first.append(w)
+                pivot.append(-1)
+                split.append(0)
+            f = first[run]
+            if f == w:
+                first[run] = nxt[w]
+            else:
+                before, after = prv[w], nxt[w]
+                nxt[before], prv[after] = after, before
+                before = prv[f]
+                nxt[before], prv[w], nxt[w], prv[f] = w, before, f, w
+            cls[w] = split[run]
+    return order
+
+
+def interval_model(g: Graph) -> tuple[tuple[int, ...], IntervalRep] | None:
+    """(order, rep) with rep's graph exactly g, or None when no order found
+    here certifies one; then g may still be an interval graph.
+
+    One LexBFS from vertex 0, then LBFS+ sweeps, 4 in all, stopping at the
+    first whose order or its reverse passes a check on g.adj itself: each
+    vertex's later neighbours must be exactly the positions right after it
+    (Olariu 1991), i.e. the largest of their positions is its own plus
+    their count. The vertex at position p then gets [p, p + that count],
+    and two such intervals meet iff the later one is among the earlier
+    one's later neighbours. The check trusts nothing from the sweeps; each
+    sweep and each check is O(n + m). The rep's cached `order` is the
+    certified one.
+    """
+    adj, n = g.adj, g.n
+    # One set of position ints, which every column below shares.
+    ids = list(range(n))
+    # The first LexBFS breaks ties to the smallest id, so it starts at 0.
+    order = ids[::-1]
+    for _ in range(4):
+        order = _lbfs(adj, order)
+        pos, later = [0] * n, [0] * n
+        for p, v in zip(ids, order):
+            pos[v] = p
+        forward = backward = True
+        for v, a in enumerate(adj):
+            if a:
+                spots = list(map(pos.__getitem__, a))
+                p = pos[v]
+                later[v] = count = sum(map(p.__lt__, spots))
+                forward = forward and (count == 0 or max(spots) == p + count)
+                backward = backward and (count == len(a) or min(spots) == p - len(a) + count)
+                if not (forward or backward):
+                    break
+        if forward or backward:
+            break
+        del pos, later
+    else:
+        return None
+    if not forward:
+        order.reverse()
+        for v, a in enumerate(adj):
+            pos[v], later[v] = ids[n - 1 - pos[v]], len(a) - later[v]
+    rights = tuple(p + c if c else p for p, c in zip(pos, later))
+    rep = IntervalRep.from_columns(tuple(pos), rights)
+    # The sorts the rep would make, on the shared ints: positions are
+    # distinct lefts, so the certified order is already (left, right, id).
+    rep.__dict__["order"] = order = tuple(order)
+    rep.__dict__["by_right"] = tuple(sorted(ids, key=rights.__getitem__))
+    return order, rep
+
+
 def interval_order(rep: IntervalRep) -> tuple[int, ...]:
     """Vertices sorted by (left, right, id); the representation's cached order.
 

@@ -365,6 +365,24 @@ def profile_points_bruteforce(g: Graph) -> list[bool]:
     return points
 
 
+def lbfs_plus_bruteforce(g: Graph, prev: Sequence[int]) -> list[int]:
+    """LexBFS by its definition, ties to the vertex latest in prev: the i-th
+    vertex visited appends n - i to the label of each unvisited neighbour,
+    and the next vertex has the largest label. Compares every label at each
+    step, O(n * (n + m))."""
+    rank = {v: r for r, v in enumerate(prev)}
+    labels: list[list[int]] = [[] for _ in range(g.n)]
+    left, order = set(range(g.n)), []
+    while left:
+        v = max(left, key=lambda u: (labels[u], rank[u]))
+        left.remove(v)
+        order.append(v)
+        for w in g.adj[v]:
+            if w in left:
+                labels[w].append(g.n - len(order))
+    return order
+
+
 def greedy_color_scan(rep: IntervalRep, k: int) -> Coloring | None:
     """`greedy_color` by its definition: each interval in interval order
     takes the least-used color, ties to the lowest, with fewer than two

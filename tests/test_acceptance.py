@@ -17,6 +17,7 @@ from itertools import combinations_with_replacement
 
 from treecolor import (
     BinPackingInstance,
+    Graph,
     build_interval_gadget,
     build_split_gadget,
     coloring_from_packing,
@@ -241,8 +242,11 @@ def test_criterion_7_cli_contract(tmp_path, capsys):
     write_intervals(k4, equal_intervals_rep(4))
     k6 = tmp_path / "k6.intervals"
     write_intervals(k6, equal_intervals_rep(6))
-    k6_graph = tmp_path / "k6.graph"
-    write_graph(k6_graph, derive_graph(equal_intervals_rep(6)))
+    # K6 with a disjoint chordless C4: no interval model, so `solve`
+    # searches it with exact_solve and a spent --timeout stops the search.
+    k6_c4_graph = tmp_path / "k6c4.graph"
+    c4 = [(6, 7), (7, 8), (8, 9), (9, 6)]
+    write_graph(k6_c4_graph, Graph.from_edges(10, [*derive_graph(equal_intervals_rep(6)).edges(), *c4]))
     nested = tmp_path / "nested.intervals"
     nested.write_text("intervals 2\n0 0 9\n1 3 4\n")
     malformed = tmp_path / "malformed.intervals"
@@ -275,7 +279,7 @@ def test_criterion_7_cli_contract(tmp_path, capsys):
         ("verify vertex mismatch", ["verify", str(k4), str(short)], 1),
         ("solve no", ["solve", str(k6), "--k", "2"], 2),
         ("solve yes", ["solve", str(k6), "--k", "3", "--out", out("c7")], 0),
-        ("solve timeout", ["solve", str(k6_graph), "--k", "3", "--timeout", "0"], 3),
+        ("solve timeout", ["solve", str(k6_c4_graph), "--k", "3", "--timeout", "0"], 3),
         ("solve parse error", ["solve", str(malformed), "--k", "1"], 1),
         (
             "gen split gadget",

@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 import treecolor.cli
 import treecolor.coloring
 from treecolor import (
+    BinPackingInstance,
     Coloring,
     ConsistencyError,
+    Graph,
+    build_interval_gadget,
     derive_graph,
     exact_solve,
     gen_random_interval,
@@ -59,6 +62,16 @@ def k6_file(tmp_path):
 def k6_graph_file(tmp_path):
     path = tmp_path / "k6.graph"
     write_graph(path, derive_graph(equal_intervals_rep(6)))
+    return str(path)
+
+
+@pytest.fixture
+def k6_c4_graph_file(tmp_path):
+    """K6 with a disjoint chordless C4 on 6..9: no interval model, so
+    `solve` searches it with exact_solve."""
+    path = tmp_path / "k6c4.graph"
+    c4 = [(6, 7), (7, 8), (8, 9), (9, 6)]
+    write_graph(path, Graph.from_edges(10, [*derive_graph(equal_intervals_rep(6)).edges(), *c4]))
     return str(path)
 
 
@@ -316,8 +329,8 @@ class TestSolve:
         assert code == 0 and stats(out)["answer"] == "YES"
         assert main(["verify", k6_file, str(out_path)]) == 0
 
-    def test_timeout(self, capsys, k6_graph_file):
-        code, out, _ = run(capsys, ["solve", k6_graph_file, "--k", "3", "--timeout", "0"])
+    def test_timeout(self, capsys, k6_c4_graph_file):
+        code, out, _ = run(capsys, ["solve", k6_c4_graph_file, "--k", "3", "--timeout", "0"])
         assert code == 3 and stats(out)["answer"] == "TIMEOUT"
 
     @pytest.mark.parametrize("k, code, answer", [(3, 0, "YES"), (2, 2, "NO")])
@@ -325,6 +338,29 @@ class TestSolve:
         # K6 at k = 3 is round robin's guaranteed_k(5); at k = 2, omega = 6 > 2k.
         got, out, err = run(capsys, ["solve", k6_file, "--k", str(k), "--timeout", "0"])
         assert (got, stats(out)["answer"], err) == (code, answer, "")
+
+    def test_interval_graph_files_are_answered_before_the_timeout(self, capsys, k6_graph_file):
+        # K6's graph gets an interval model, whose round robin answers at k = 3.
+        code, out, err = run(capsys, ["solve", k6_graph_file, "--k", "3", "--timeout", "0"])
+        assert (code, stats(out)["answer"], err) == (0, "YES", "")
+
+    @pytest.mark.parametrize("k, code, answer", [(4, 2, "NO"), (5, 0, "YES")])
+    def test_n240_gadget_answers_through_its_interval_model(self, capsys, tmp_path, k, code, answer):
+        # (4, 3, 3, 2, 2, 2) does not pack into 4 bins of 4. Its graph file
+        # answered TIMEOUT at 60 s when exact_solve searched it.
+        layout = build_interval_gadget(BinPackingInstance((4, 3, 3, 2, 2, 2), 4, 4))
+        assert layout.graph.n == 240
+        graph_path, intervals_path = tmp_path / "g.graph", tmp_path / "g.intervals"
+        write_graph(graph_path, layout.graph)
+        write_intervals(intervals_path, layout.rep)
+        for source in (graph_path, intervals_path):
+            out_path = tmp_path / f"{source.name}.coloring"
+            argv = ["solve", str(source), "--k", str(k), "--timeout", "60", "--out", str(out_path)]
+            got, out, err = run(capsys, argv)
+            assert (got, stats(out)["answer"], err) == (code, answer, "")
+            if code == 0:
+                assert main(["verify", str(graph_path), str(out_path)]) == 0
+                assert main(["verify", str(intervals_path), str(out_path)]) == 0
 
     def test_intervals_between_the_bounds_still_search(self, capsys, monkeypatch, tmp_path):
         # omega = 8 <= 2k, k < guaranteed_k(15) = 8, and round robin and the
@@ -421,8 +457,11 @@ class TestSolve:
         [
             ("graph 1500 1499\n" + "".join(f"{v} {v + 1}\n" for v in range(1499)), 1),
             ("graph 1000 0\n", 495),
+            # A chordless cycle has no interval model, so exact_solve searches
+            # it; at k = 2 its first solution is the two halves of the cycle.
+            ("graph 1500 1500\n0 1499\n" + "".join(f"{v} {v + 1}\n" for v in range(1499)), 2),
         ],
-        ids=["path-1500", "edgeless-1000"],
+        ids=["path-1500", "edgeless-1000", "cycle-1500"],
     )
     def test_search_deeper_than_the_recursion_limit(self, capsys, tmp_path, text, k):
         path = tmp_path / "deep.graph"
@@ -767,7 +806,6 @@ class TestSweepRoute:
 
         monkeypatch.setattr(treecolor.coloring, "interval_search", refuse)
         monkeypatch.setattr(treecolor.coloring, "exact_solve", refuse)
-        monkeypatch.setattr(treecolor.cli, "exact_solve", refuse)
         out_path = tmp_path / "c.coloring"
         # Between the bounds at k = 4, where round robin fails and the greedy
         # answers, whatever --timeout says.

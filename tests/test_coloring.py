@@ -30,6 +30,7 @@ from treecolor import (
     max_clique_sweep,
     proper_min_k,
     round_robin_color,
+    solve_graph,
     solve_intervals,
     verify_equitable_tree_coloring,
     verify_interval_coloring,
@@ -45,7 +46,7 @@ from oracles import (
     path_rep,
     profile_points_bruteforce,
 )
-from test_graph import graphs, interval_reps
+from test_graph import NON_INTERVAL, graphs, interval_reps, relabeled, relabeled_interval_graphs
 
 
 class IndexOnly:
@@ -481,6 +482,55 @@ class TestSolveIntervals:
         )
         with pytest.raises(ConsistencyError, match="search coloring"):
             solve_intervals(gen_random_interval(16, 64, 11), 4)
+
+
+class TestSolveGraph:
+    @settings(max_examples=100, deadline=None)
+    @given(relabeled_interval_graphs(max_n=12))
+    def test_same_answer_as_exhaustive_solver_on_interval_graphs(self, g):
+        for k in range(1, g.n + 2):
+            stats = SearchStats()
+            c = solve_graph(g, k, stats=stats)
+            assert (c is None) == (exact_solve(g, k) is None), k
+            assert stats.route in ("bound", "round_robin", "greedy", "search")
+            if c is not None:
+                assert verify_equitable_tree_coloring(g, c).ok
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_n=8), st.integers(1, 4))
+    def test_same_answer_as_exhaustive_solver_on_any_graph(self, g, k):
+        c = solve_graph(g, k)
+        assert (c is None) == (exact_solve(g, k) is None)
+        assert c is None or verify_equitable_tree_coloring(g, c).ok
+
+    @pytest.mark.parametrize("name", sorted(NON_INTERVAL))
+    def test_without_a_model_the_exhaustive_solver_answers(self, name):
+        for seed in range(5):
+            g = relabeled(NON_INTERVAL[name], seed)
+            for k in range(1, g.n + 1):
+                stats = SearchStats()
+                assert solve_graph(g, k, stats=stats) == exact_solve(g, k)
+                assert stats.route == "exact" and stats.nodes > 0
+
+    def test_time_limit_reaches_the_exhaustive_solver(self):
+        g = relabeled(NON_INTERVAL["C5"], 0)
+        with pytest.raises(SolveTimeout):
+            solve_graph(g, 2, time_limit=0)
+
+    def test_an_interval_graph_is_answered_before_the_time_limit(self):
+        # K6 at k = 3 is round robin's guaranteed_k(5): the sweeps, their
+        # check and the bound run whatever the limit says.
+        stats = SearchStats()
+        c = solve_graph(derive_graph(equal_intervals_rep(6)), 3, time_limit=0, stats=stats)
+        assert c is not None and stats.route == "round_robin"
+
+    def test_a_yes_that_fails_on_the_graph_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            treecolor.coloring, "solve_intervals",
+            lambda rep, k, **kw: Coloring((0,) * rep.n, k),
+        )
+        with pytest.raises(ConsistencyError, match="interval model"):
+            solve_graph(derive_graph(equal_intervals_rep(3)), 1)
 
 
 class TestIntervalSearch:

@@ -1,9 +1,11 @@
+import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treecolor.graph
 from treecolor import (
     Graph,
     IntervalRep,
@@ -11,6 +13,8 @@ from treecolor import (
     derive_graph,
     find_proper_containment,
     first_monochromatic_cycle_edge,
+    gen_random_interval,
+    interval_model,
     interval_order,
     is_proper_representation,
     max_clique_sweep,
@@ -22,6 +26,7 @@ from oracles import (
     first_broken_neighbours,
     forests_by_dfs,
     is_star_free,
+    lbfs_plus_bruteforce,
     max_clique_bruteforce,
     neighbor_sets,
     path_rep,
@@ -157,6 +162,94 @@ class TestIntervalOrder:
     @given(interval_reps())
     def test_output_always_passes_verify_order(self, rep):
         assert verify_order(derive_graph(rep), interval_order(rep))
+
+
+def relabeled(g: Graph, seed: int) -> Graph:
+    """g with its vertices renamed by a permutation drawn from seed."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
+
+
+@st.composite
+def relabeled_interval_graphs(draw, max_n=12):
+    """The graph of a `gen_random_interval` rep, its ids shuffled by a
+    seed, so no order of the ids gives the model away."""
+    n = draw(st.integers(0, max_n))
+    rep = gen_random_interval(n, draw(st.integers(1, 4 * max_n)), draw(st.integers(0, 2**32)))
+    return relabeled(derive_graph(rep), draw(st.integers(0, 2**32)))
+
+
+# The chordless cycles C_4 and C_5, and the claw with each edge subdivided,
+# which is chordal but has an asteroidal triple (its three leaves).
+NON_INTERVAL = {
+    "C4": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "C5": Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)]),
+    "subdivided claw": Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),
+}
+
+
+class TestIntervalModel:
+    def check_model(self, g: Graph, model) -> None:
+        """The model's rep has exactly g's edges, by the derived graph, and
+        its order is the rep's and puts vertex order[p] at left p."""
+        order, rep = model
+        assert derive_graph(rep).adj == g.adj
+        assert order == rep.order == tuple(sorted(range(g.n), key=lambda v: rep.lefts[v]))
+        assert [rep.lefts[v] for v in order] == list(range(g.n))
+        assert verify_order(g, order)
+
+    @settings(max_examples=200, deadline=None)
+    @given(relabeled_interval_graphs())
+    def test_every_relabeled_interval_graph_gets_an_exact_model(self, g):
+        model = interval_model(g)
+        assert model is not None
+        self.check_model(g, model)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=9))
+    def test_a_model_is_only_given_for_exactly_the_graph(self, g):
+        model = interval_model(g)
+        if model is not None:
+            self.check_model(g, model)
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_large_relabeled_interval_graphs(self, n):
+        g = relabeled(derive_graph(gen_random_interval(n, 3 * n, n)), n)
+        model = interval_model(g)
+        assert model is not None and derive_graph(model[1]).adj == g.adj
+
+    @pytest.mark.parametrize("name", sorted(NON_INTERVAL))
+    def test_non_interval_graphs_get_none(self, name):
+        g = NON_INTERVAL[name]
+        for seed in range(20):
+            assert interval_model(relabeled(g, seed)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=9), st.data())
+    def test_sweeps_are_lexbfs_with_ties_to_the_latest_of_the_last_sweep(self, g, data):
+        prev = data.draw(st.permutations(range(g.n)))
+        assert treecolor.graph._lbfs(g.adj, prev) == lbfs_plus_bruteforce(g, prev)
+
+    def test_an_order_that_fails_the_check_is_not_used(self, monkeypatch):
+        # On the path 0-1-2-3, (0, 2, 1, 3) puts 2 between 0 and its later
+        # neighbour 1, and its reverse puts 1 between 3 and 2.
+        monkeypatch.setattr(treecolor.graph, "_lbfs", lambda adj, prev: [0, 2, 1, 3])
+        assert interval_model(derive_graph(path_rep(4))) is None
+
+    def test_an_order_whose_reverse_passes_is_used_reversed(self, monkeypatch):
+        # On the path 0-1-2, (0, 2, 1) puts 2 between 0 and its later
+        # neighbour 1, but (1, 2, 0) passes.
+        monkeypatch.setattr(treecolor.graph, "_lbfs", lambda adj, prev: [0, 2, 1])
+        g = derive_graph(path_rep(3))
+        model = interval_model(g)
+        assert model is not None and model[0] == (1, 2, 0)
+        self.check_model(g, model)
+
+    def test_edgeless_and_empty_graphs(self):
+        assert interval_model(Graph(())) == ((), IntervalRep(()))
+        order, rep = interval_model(Graph(((),) * 3))
+        assert sorted(order) == [0, 1, 2] and rep.lefts == rep.rights
 
 
 class TestVerifyOrder:
